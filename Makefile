@@ -45,16 +45,20 @@ experiments:
 examples:
 	@for d in examples/*/; do echo "=== $$d ==="; $(GO) run ./$$d || exit 1; done
 
-# Fuzzing pass over every parser (longer runs: raise FUZZTIME).
+# Fuzzing pass over every parser and spill-blob decoder (longer runs: raise
+# FUZZTIME).
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -fuzz='^FuzzParseOEM$$' -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -fuzz='^FuzzReadText$$' -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -fuzz='^FuzzFromJSON$$' -fuzztime $(FUZZTIME) ./internal/graph/
+	$(GO) test -fuzz='^FuzzParseDelta$$' -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/typing/
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/datalog/
 	$(GO) test -fuzz='^FuzzParsePath$$' -fuzztime $(FUZZTIME) ./internal/query/
 	$(GO) test -fuzz='^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/wal/
+	$(GO) test -fuzz='^FuzzDecodeShard$$' -fuzztime $(FUZZTIME) ./internal/compile/
+	$(GO) test -fuzz='^FuzzLoadSnapshot$$' -fuzztime $(FUZZTIME) ./internal/compile/
 
 # 30 seconds per fuzzer; part of `make check`.
 fuzz-short:

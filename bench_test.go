@@ -6,12 +6,14 @@
 package schemex
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
 
 	"schemex/internal/bisim"
 	"schemex/internal/cluster"
+	"schemex/internal/compile"
 	"schemex/internal/core"
 	"schemex/internal/dataguide"
 	"schemex/internal/dbg"
@@ -22,6 +24,31 @@ import (
 	"schemex/internal/synth"
 	"schemex/internal/typing"
 )
+
+// evalGFP compiles db and evaluates p's greatest fixpoint serially: the whole
+// cost of a one-off conformance check.
+func evalGFP(tb testing.TB, p *typing.Program, db *graph.DB) *typing.Extent {
+	tb.Helper()
+	snap, err := compile.Compile(db, 0, 1, 0, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ext, err := typing.EvalGFP(p, snap, 1, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ext
+}
+
+// snapOf compiles db with the automatic layout on every CPU.
+func snapOf(tb testing.TB, db *graph.DB) *compile.Snapshot {
+	tb.Helper()
+	snap, err := compile.Compile(db, 0, 0, 0, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap
+}
 
 // BenchmarkTable1 runs the full three-stage pipeline on each of the eight
 // synthetic datasets of Table 1, reporting the measured perfect-type count
@@ -91,13 +118,13 @@ func BenchmarkPrepareOnceExtractMany(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("DB%d/warm", p.DBNo), func(b *testing.B) {
 			b.ReportAllocs()
-			prep, err := core.Prepare(db)
+			prep, err := core.Prepare(context.Background(), db, 0, 0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.ExtractPrepared(prep, opts); err != nil {
+				if _, err := core.ExtractPrepared(context.Background(), prep, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -115,7 +142,7 @@ func BenchmarkFigure6Sweep(b *testing.B) {
 	var err error
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sw, err = core.Sweep(db, core.Options{NameFor: roles.NameFor})
+		sw, err = core.Sweep(context.Background(), db, core.Options{NameFor: roles.NameFor})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +164,10 @@ func BenchmarkFigure6Sweep(b *testing.B) {
 func BenchmarkGFP(b *testing.B) {
 	b.ReportAllocs()
 	db, _ := dbg.Generate(dbg.Options{Scale: 2})
-	qd, _ := perfect.BuildQD(db)
+	qd, _, err := perfect.BuildQD(snapOf(b, db), typing.PictureOpts{}, 1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("naive", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -147,7 +177,7 @@ func BenchmarkGFP(b *testing.B) {
 	b.Run("support-count", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			typing.EvalGFP(qd, db)
+			evalGFP(b, qd, db)
 		}
 	})
 }
@@ -172,7 +202,7 @@ func BenchmarkGFPChain(b *testing.B) {
 	b.Run("support-count", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			typing.EvalGFP(prog, db)
+			evalGFP(b, prog, db)
 		}
 	})
 }
@@ -200,7 +230,7 @@ func BenchmarkStage1(b *testing.B) {
 		b.ReportAllocs()
 		var n int
 		for i := 0; i < b.N; i++ {
-			res, err := perfect.Minimal(db, perfect.Options{})
+			res, err := perfect.Minimal(snapOf(b, db), perfect.Options{}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -212,7 +242,11 @@ func BenchmarkStage1(b *testing.B) {
 		b.ReportAllocs()
 		var n int
 		for i := 0; i < b.N; i++ {
-			n = bisim.Compute(db).NumBlocks()
+			part, err := bisim.Compute(db, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n = part.NumBlocks()
 		}
 		b.ReportMetric(float64(n), "blocks")
 	})
@@ -249,7 +283,7 @@ func BenchmarkDeltaSweep(b *testing.B) {
 func BenchmarkStage2(b *testing.B) {
 	b.ReportAllocs()
 	db, roles := dbg.Generate(dbg.Options{})
-	stage1, err := perfect.Minimal(db, perfect.Options{NameFor: roles.NameFor})
+	stage1, err := perfect.Minimal(snapOf(b, db), perfect.Options{NameFor: roles.NameFor}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -266,10 +300,13 @@ func BenchmarkStage2(b *testing.B) {
 		b.ReportAllocs()
 		var d int
 		for i := 0; i < b.N; i++ {
-			g := cluster.NewGreedy(stage1.Program.Clone(), cluster.Config{})
+			g := cluster.NewGreedy(stage1.Program.Clone(), nil, cluster.Config{}, nil)
 			g.RunTo(6)
 			prog, mapping := g.Program()
-			rc := recast.Recast(db, prog, homes(mapping), recast.DefaultOptions())
+			rc, _, err := recast.Recast(snapOf(b, db), prog, homes(mapping), recast.DefaultOptions(), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
 			d = rc.Defect.Total()
 		}
 		b.ReportMetric(float64(d), "defect")
@@ -280,7 +317,10 @@ func BenchmarkStage2(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ls := cluster.LocalSearchKMedian(stage1.Program, 6, 0, 0)
 			prog, mapping := ls.Materialize(stage1.Program)
-			rc := recast.Recast(db, prog, homes(mapping), recast.DefaultOptions())
+			rc, _, err := recast.Recast(snapOf(b, db), prog, homes(mapping), recast.DefaultOptions(), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
 			d = rc.Defect.Total()
 		}
 		b.ReportMetric(float64(d), "defect")
@@ -301,7 +341,7 @@ func BenchmarkDatalogVsSpecialized(b *testing.B) {
 	b.Run("specialized", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			typing.EvalGFP(prog, db)
+			evalGFP(b, prog, db)
 		}
 	})
 	b.Run("datalog-engine", func(b *testing.B) {
@@ -323,13 +363,13 @@ func BenchmarkGreedyClustering(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	stage1, err := perfect.Minimal(db, perfect.Options{})
+	stage1, err := perfect.Minimal(snapOf(b, db), perfect.Options{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := cluster.NewGreedy(stage1.Program.Clone(), cluster.Config{})
+		g := cluster.NewGreedy(stage1.Program.Clone(), nil, cluster.Config{}, nil)
 		g.RunTo(p.Intended())
 	}
 }
@@ -342,7 +382,7 @@ func BenchmarkGreedyClustering(b *testing.B) {
 func BenchmarkQuery(b *testing.B) {
 	b.ReportAllocs()
 	db, _ := dbg.Generate(dbg.Options{Scale: 8})
-	stage1, err := perfect.Minimal(db, perfect.Options{})
+	stage1, err := perfect.Minimal(snapOf(b, db), perfect.Options{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -424,7 +464,7 @@ func BenchmarkSummarySizes(b *testing.B) {
 		b.ReportAllocs()
 		var n int
 		for i := 0; i < b.N; i++ {
-			res, err := perfect.Minimal(db, perfect.Options{})
+			res, err := perfect.Minimal(snapOf(b, db), perfect.Options{}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -451,7 +491,7 @@ func BenchmarkSummarySizes(b *testing.B) {
 func BenchmarkMultiRoleDecomposition(b *testing.B) {
 	b.ReportAllocs()
 	db, _ := dbg.Generate(dbg.Options{})
-	stage1, err := perfect.Minimal(db, perfect.Options{})
+	stage1, err := perfect.Minimal(snapOf(b, db), perfect.Options{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -485,7 +525,7 @@ func BenchmarkStage1Parallelism(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := perfect.Minimal(db, perfect.Options{Parallelism: workers}); err != nil {
+				if _, err := perfect.Minimal(snapOf(b, db), perfect.Options{Parallelism: workers}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -502,7 +542,7 @@ func BenchmarkStage2Parallelism(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	stage1, err := perfect.Minimal(db, perfect.Options{})
+	stage1, err := perfect.Minimal(snapOf(b, db), perfect.Options{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -511,7 +551,7 @@ func BenchmarkStage2Parallelism(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g := cluster.NewGreedy(stage1.Program.Clone(), cluster.Config{Parallelism: workers})
+				g := cluster.NewGreedy(stage1.Program.Clone(), nil, cluster.Config{Parallelism: workers}, nil)
 				g.RunTo(p.Intended())
 			}
 		})
@@ -533,7 +573,13 @@ func BenchmarkStage3Parallelism(b *testing.B) {
 			rc := recast.DefaultOptions()
 			rc.Parallelism = workers
 			for i := 0; i < b.N; i++ {
-				recast.Recast(db, res.Program, res.Homes, rc)
+				snap, err := compile.Compile(db, 0, workers, 0, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := recast.Recast(snap, res.Program, res.Homes, rc, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

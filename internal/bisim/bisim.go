@@ -31,17 +31,12 @@ type Partition struct {
 // AtomicBlock is the block of all atomic objects.
 const AtomicBlock = -1
 
-// Compute returns the coarsest in/out bisimulation partition of db.
-func Compute(db *graph.DB) *Partition {
-	p, _ := ComputeCheck(db, nil)
-	return p
-}
-
-// ComputeCheck is Compute with a cooperative cancellation checkpoint
-// consulted once per refinement round (nil check: never cancel). Each round
-// touches every object, so the per-round check bounds cancel latency at one
-// round's work without perturbing the refinement itself.
-func ComputeCheck(db *graph.DB, check func() error) (*Partition, error) {
+// Compute returns the coarsest in/out bisimulation partition of db. check is
+// a cooperative cancellation checkpoint consulted once per refinement round
+// (nil: never cancel, and Compute cannot fail). Each round touches every
+// object, so the per-round check bounds cancel latency at one round's work
+// without perturbing the refinement itself.
+func Compute(db *graph.DB, check func() error) (*Partition, error) {
 	objs := db.ComplexObjects()
 	blockOf := make(map[graph.ObjectID]int, len(objs))
 	for _, o := range objs {

@@ -5,9 +5,30 @@ import (
 	"testing"
 
 	"schemex/internal/bisim"
+	"schemex/internal/compile"
 	"schemex/internal/graph"
 	"schemex/internal/perfect"
 )
+
+// snapOf compiles db with the automatic layout on every CPU.
+func snapOf(tb testing.TB, db *graph.DB) *compile.Snapshot {
+	tb.Helper()
+	snap, err := compile.Compile(db, 0, 0, 0, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap
+}
+
+// compute runs the bisimulation with no cancellation check.
+func compute(t *testing.T, db *graph.DB) *bisim.Partition {
+	t.Helper()
+	p, err := bisim.Compute(db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
 
 func figure4DB() *graph.DB {
 	db := graph.New()
@@ -27,7 +48,7 @@ func figure4DB() *graph.DB {
 
 func TestFigure4Partition(t *testing.T) {
 	db := figure4DB()
-	p := bisim.Compute(db)
+	p := compute(t, db)
 	if p.NumBlocks() != 3 {
 		t.Fatalf("bisimulation found %d blocks, want 3", p.NumBlocks())
 	}
@@ -50,7 +71,7 @@ func TestSeparatesByIncomingEdges(t *testing.T) {
 	db.Link("r", "y", "right")
 	db.LinkAtom("x", "name", "nx", "v")
 	db.LinkAtom("y", "name", "ny", "v")
-	p := bisim.Compute(db)
+	p := compute(t, db)
 	if p.Same(db.Lookup("x"), db.Lookup("y")) {
 		t.Fatal("objects with different incoming labels should be split")
 	}
@@ -62,7 +83,7 @@ func TestCycleBisimulation(t *testing.T) {
 	db.Link("a", "b", "next")
 	db.Link("b", "c", "next")
 	db.Link("c", "a", "next")
-	p := bisim.Compute(db)
+	p := compute(t, db)
 	if p.NumBlocks() != 1 {
 		t.Fatalf("uniform cycle should be one block, got %d", p.NumBlocks())
 	}
@@ -73,8 +94,8 @@ func TestCycleBisimulation(t *testing.T) {
 // In general Stage 1 (mutual simulation containment) can be coarser.
 func TestAgreesWithStage1OnDeterministicData(t *testing.T) {
 	db := figure4DB()
-	bp := bisim.Compute(db)
-	res, err := perfect.Minimal(db, perfect.Options{})
+	bp := compute(t, db)
+	res, err := perfect.Minimal(snapOf(t, db), perfect.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +121,8 @@ func TestBisimRefinesStage1(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 10; trial++ {
 		db := randomDB(rng, 5+rng.Intn(10))
-		bp := bisim.Compute(db)
-		res, err := perfect.Minimal(db, perfect.Options{})
+		bp := compute(t, db)
+		res, err := perfect.Minimal(snapOf(t, db), perfect.Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,12 +139,12 @@ func TestBisimRefinesStage1(t *testing.T) {
 
 func TestEmptyAndSingleton(t *testing.T) {
 	db := graph.New()
-	p := bisim.Compute(db)
+	p := compute(t, db)
 	if p.NumBlocks() != 0 {
 		t.Fatalf("empty db: %d blocks", p.NumBlocks())
 	}
 	db.Intern("only")
-	p = bisim.Compute(db)
+	p = compute(t, db)
 	if p.NumBlocks() != 1 {
 		t.Fatalf("singleton db: %d blocks", p.NumBlocks())
 	}

@@ -14,7 +14,10 @@ func TestPartitionIsStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 10; trial++ {
 		db := randomTestDB(rng, 6+rng.Intn(14))
-		p := Compute(db)
+		p, err := Compute(db, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, block := range p.Blocks {
 			if len(block) < 2 {
 				continue

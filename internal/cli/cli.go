@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"schemex"
+	"schemex/internal/compile"
 	"schemex/internal/dbg"
 	"schemex/internal/graph"
 	"schemex/internal/perfect"
@@ -485,7 +486,11 @@ func cmdPerfect(args []string, env *Env) error {
 	if err != nil {
 		return err
 	}
-	res, err := perfect.Minimal(g.DB(), perfect.Options{UseSorts: *sorts})
+	snap, err := compile.Compile(g.DB(), 0, 0, 0, nil)
+	if err != nil {
+		return err
+	}
+	res, err := perfect.Minimal(snap, perfect.Options{UseSorts: *sorts}, nil)
 	if err != nil {
 		return err
 	}

@@ -3,10 +3,22 @@ package cluster
 import (
 	"testing"
 
+	"schemex/internal/compile"
+	"schemex/internal/graph"
 	"schemex/internal/perfect"
 	"schemex/internal/synth"
 	"schemex/internal/typing"
 )
+
+// snapOf compiles db with the automatic layout on every CPU.
+func snapOf(tb testing.TB, db *graph.DB) *compile.Snapshot {
+	tb.Helper()
+	snap, err := compile.Compile(db, 0, 0, 0, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap
+}
 
 func TestIsBipartiteProgram(t *testing.T) {
 	bip := typing.MustParse(`
@@ -55,14 +67,14 @@ func TestBipartiteStage1ProducesBipartiteProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := perfect.Minimal(db, perfect.Options{})
+	res, err := perfect.Minimal(snapOf(t, db), perfect.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !IsBipartiteProgram(res.Program) {
 		t.Fatal("Stage 1 of bipartite data must be bipartite")
 	}
-	g := NewGreedy(res.Program.Clone(), Config{})
+	g := NewGreedy(res.Program.Clone(), nil, Config{}, nil)
 	before := int(g.distAt(0, 1))
 	g.RunTo(res.Program.Len() - 3)
 	// Neither 0 nor 1 was merged away? Find two still-active original slots

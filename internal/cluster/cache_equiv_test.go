@@ -59,7 +59,7 @@ func TestCachedSelectionMatchesBruteForce(t *testing.T) {
 			cfg.Pinned = make([]bool, n)
 			cfg.Pinned[rng.Intn(n)] = true
 		}
-		g := NewGreedy(p, cfg)
+		g := NewGreedy(p, nil, cfg, nil)
 		for step := 0; ; step++ {
 			if g.NumActive() < 2 {
 				// Both selection strategies stop here by contract.

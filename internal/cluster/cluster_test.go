@@ -126,7 +126,7 @@ func TestExample51Projection(t *testing.T) {
 	for _, ty := range p.Types {
 		ty.Weight = 10
 	}
-	g := NewGreedy(p, Config{Delta: Delta2})
+	g := NewGreedy(p, nil, Config{Delta: Delta2}, nil)
 	// All pairwise distances are 2 initially (defs differ in one link each
 	// way); merge t2 into t1.
 	g.merge(0, 1)
@@ -153,7 +153,7 @@ func TestGreedyRunToAndProgram(t *testing.T) {
 	for i, ty := range p.Types {
 		ty.Weight = weights[i]
 	}
-	g := NewGreedy(p, Config{Delta: Delta2})
+	g := NewGreedy(p, nil, Config{Delta: Delta2}, nil)
 	if got := g.RunTo(2); got != 2 {
 		t.Fatalf("RunTo(2) left %d types", got)
 	}
@@ -225,7 +225,7 @@ func TestExample53EmptyType(t *testing.T) {
 		return p
 	}
 	// Small k: t3 merges into t1 (cost d=1 × w=100 = 100 beats t2's k×1000).
-	g := NewGreedy(mk(1), Config{Delta: Delta2, AllowEmpty: true})
+	g := NewGreedy(mk(1), nil, Config{Delta: Delta2, AllowEmpty: true}, nil)
 	st, _ := g.Step()
 	if st.To == EmptySlot || st.From != 2 {
 		t.Fatalf("k=1: first move %+v, want t3 -> t1", st)
@@ -234,7 +234,7 @@ func TestExample53EmptyType(t *testing.T) {
 	// 3×100×bias) beats merging t2 (k×1000) and merging t3 (1×100)? No —
 	// the d=1 merge stays cheapest under δ2. With bias 0.2 the empty move
 	// costs 60 < 100, so t3 is unclassified first.
-	g = NewGreedy(mk(16), Config{Delta: Delta2, AllowEmpty: true, EmptyBias: 0.2})
+	g = NewGreedy(mk(16), nil, Config{Delta: Delta2, AllowEmpty: true, EmptyBias: 0.2}, nil)
 	st, _ = g.Step()
 	if st.To != EmptySlot || st.From != 2 {
 		t.Fatalf("k=16 with bias: first move %+v, want t3 -> empty", st)
@@ -343,8 +343,8 @@ func TestGreedyTieBreakDeterministic(t *testing.T) {
 		}
 		return p
 	}
-	g1 := NewGreedy(build(), Config{})
-	g2 := NewGreedy(build(), Config{})
+	g1 := NewGreedy(build(), nil, Config{}, nil)
+	g2 := NewGreedy(build(), nil, Config{}, nil)
 	g1.RunTo(1)
 	g2.RunTo(1)
 	tr1, tr2 := g1.Trace(), g2.Trace()
@@ -370,7 +370,7 @@ func TestDeltaInfinityComparable(t *testing.T) {
 		type b = ->y[0]
 	`)
 	p.Types[0].Weight, p.Types[1].Weight = 1, 1
-	g := NewGreedy(p, Config{Delta: Delta4})
+	g := NewGreedy(p, nil, Config{Delta: Delta4}, nil)
 	if _, ok := g.Step(); !ok {
 		t.Fatal("greedy failed to pick a move with infinite costs")
 	}

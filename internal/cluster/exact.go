@@ -77,7 +77,7 @@ func ExactKMedian(p *typing.Program, k int) (float64, []int) {
 // GreedyKMedianCost runs the greedy engine down to k types under δ2 and
 // returns its δ2 total, for comparison against ExactKMedian.
 func GreedyKMedianCost(p *typing.Program, k int) float64 {
-	g := NewGreedy(p.Clone(), Config{Delta: Delta2})
+	g := NewGreedy(p.Clone(), nil, Config{Delta: Delta2}, nil)
 	g.RunTo(k)
 	return float64(g.DefectEstimate())
 }

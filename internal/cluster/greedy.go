@@ -145,29 +145,22 @@ type Greedy struct {
 
 // NewGreedy initializes the engine from a Stage 1 program. Type weights must
 // be set (home-class sizes); link targets refer to type indices of p.
-func NewGreedy(p *typing.Program, cfg Config) *Greedy {
-	return NewGreedySnap(p, nil, cfg)
-}
-
-// NewGreedySnap is NewGreedy with the typed-link universe pre-interned from
-// a compiled snapshot: plain link bases are resolved arithmetically against
-// the snapshot's label table instead of through a freshly built map. A nil
-// snapshot falls back to map-only interning. The engine's behavior is
-// identical either way (base IDs only index hypercube columns; distances
-// and the merge sequence do not depend on their order).
-func NewGreedySnap(p *typing.Program, snap *compile.Snapshot, cfg Config) *Greedy {
-	return NewGreedySnapWarm(p, snap, cfg, nil)
-}
-
-// NewGreedySnapWarm is NewGreedySnap with an optional warm start: matrix
-// cells between two slots that w maps onto a parent State are copied from the
-// captured triangle instead of popcounted (see the package comment of
-// state.go for why the copy is exact). When every slot maps identically the
-// parent triangle is aliased outright — no cells are copied or counted until
-// the first merge clones it. A nil or unusable w is exactly NewGreedySnap;
-// the seeded matrix, the merge sequence, and every reported cost are
-// bit-identical either way, at any Parallelism.
-func NewGreedySnapWarm(p *typing.Program, snap *compile.Snapshot, cfg Config, w *Warm) *Greedy {
+//
+// A non-nil snap pre-interns the typed-link universe: plain link bases are
+// resolved arithmetically against the snapshot's label table instead of
+// through a freshly built map. A nil snapshot falls back to map-only
+// interning. The engine's behavior is identical either way (base IDs only
+// index hypercube columns; distances and the merge sequence do not depend on
+// their order).
+//
+// A non-nil w is a warm start: matrix cells between two slots that w maps
+// onto a parent State are copied from the captured triangle instead of
+// popcounted (see the package comment of state.go for why the copy is
+// exact). When every slot maps identically the parent triangle is aliased
+// outright — no cells are copied or counted until the first merge clones it.
+// A nil or unusable w seeds cold; the seeded matrix, the merge sequence, and
+// every reported cost are bit-identical either way, at any Parallelism.
+func NewGreedy(p *typing.Program, snap *compile.Snapshot, cfg Config, w *Warm) *Greedy {
 	n := len(p.Types)
 	g := &Greedy{
 		cfg:         cfg,
@@ -361,7 +354,7 @@ func (g *Greedy) setDist(i, j int, d uint32) {
 }
 
 // State captures the engine's seeded pre-merge matrix for warm re-entry into
-// a later engine (NewGreedySnapWarm). It must be called before the first
+// a later engine (NewGreedy). It must be called before the first
 // Step — the matrix is mutated by moves — and returns nil afterwards (or
 // after a cancellation). Capturing is O(1): the triangle is aliased and the
 // engine clones it lazily on its first move, so a capture never copies; when

@@ -55,7 +55,7 @@ func TestGreedyInvariants(t *testing.T) {
 			origWeights[i] = ty.Weight
 		}
 		allowEmpty := trial%3 == 0
-		g := NewGreedy(orig.Clone(), Config{Delta: Deltas[trial%len(Deltas)], AllowEmpty: allowEmpty, EmptyBias: 0.5})
+		g := NewGreedy(orig.Clone(), nil, Config{Delta: Deltas[trial%len(Deltas)], AllowEmpty: allowEmpty, EmptyBias: 0.5}, nil)
 		for {
 			prog, mapping := g.Program()
 			if err := prog.Validate(); err != nil {
@@ -107,7 +107,7 @@ func TestGreedyInvariants(t *testing.T) {
 func TestGreedyTraceAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := randomClusterProgram(rng, 9)
-	g := NewGreedy(p, Config{})
+	g := NewGreedy(p, nil, Config{}, nil)
 	g.RunTo(1)
 	trace := g.Trace()
 	if len(trace) != 8 {
@@ -130,7 +130,7 @@ func TestPinnedSurviveToOne(t *testing.T) {
 	p := randomClusterProgram(rng, 6)
 	pinned := make([]bool, 6)
 	pinned[2], pinned[4] = true, true
-	g := NewGreedy(p, Config{Pinned: pinned})
+	g := NewGreedy(p, nil, Config{Pinned: pinned}, nil)
 	got := g.RunTo(1)
 	if got != 2 {
 		t.Fatalf("RunTo(1) left %d types, want the 2 pinned", got)

@@ -17,8 +17,8 @@ func TestNewGreedyAllocations(t *testing.T) {
 	countFor := func(p func() *Greedy) float64 {
 		return testing.AllocsPerRun(10, func() { _ = p() })
 	}
-	smallAllocs := countFor(func() *Greedy { return NewGreedy(small, Config{Parallelism: 1}) })
-	largeAllocs := countFor(func() *Greedy { return NewGreedy(large, Config{Parallelism: 1}) })
+	smallAllocs := countFor(func() *Greedy { return NewGreedy(small, nil, Config{Parallelism: 1}, nil) })
+	largeAllocs := countFor(func() *Greedy { return NewGreedy(large, nil, Config{Parallelism: 1}, nil) })
 	if smallAllocs > bound {
 		t.Fatalf("NewGreedy(n=20) allocates %.0f times, want <= %d", smallAllocs, bound)
 	}
@@ -47,7 +47,7 @@ func TestGreedyParallelismDeterminism(t *testing.T) {
 		run := func(workers int) ([]Step, string, []int) {
 			c := cfg
 			c.Parallelism = workers
-			g := NewGreedy(p.Clone(), c)
+			g := NewGreedy(p.Clone(), nil, c, nil)
 			g.RunTo(2)
 			prog, mapping := g.Program()
 			return g.Trace(), prog.String(), mapping

@@ -50,7 +50,7 @@ func TestWarmSeedPermutedMatchesCold(t *testing.T) {
 		if trial%2 == 1 {
 			cfg.AllowEmpty = true
 		}
-		st := NewGreedy(parent.Clone(), cfg).State()
+		st := NewGreedy(parent.Clone(), nil, cfg, nil).State()
 		if st == nil {
 			t.Fatal("State() before any Step returned nil")
 		}
@@ -79,8 +79,8 @@ func TestWarmSeedPermutedMatchesCold(t *testing.T) {
 		for _, workers := range []int{1, 0, 3} {
 			c := cfg
 			c.Parallelism = workers
-			warm := NewGreedySnapWarm(child.Clone(), nil, c, &Warm{State: st, Map: m})
-			cold := NewGreedySnapWarm(child.Clone(), nil, c, nil)
+			warm := NewGreedy(child.Clone(), nil, c, &Warm{State: st, Map: m})
+			cold := NewGreedy(child.Clone(), nil, c, nil)
 			if !reflect.DeepEqual(warm.dist, cold.dist) {
 				t.Fatalf("trial %d (par=%d): warm-seeded matrix differs from cold", trial, workers)
 			}
@@ -119,7 +119,7 @@ func TestMatchDefinitionsVetting(t *testing.T) {
 	p.Add(&typing.Type{Name: "t2", Weight: 1, Links: []typing.TypedLink{
 		{Dir: typing.Out, Label: "a", Target: 1},
 	}})
-	st := NewGreedy(p.Clone(), Config{Parallelism: 1}).State()
+	st := NewGreedy(p.Clone(), nil, Config{Parallelism: 1}, nil).State()
 
 	if m, clean := MatchDefinitions(p, st, []int{0, 1, 2}); clean != 3 {
 		t.Fatalf("identity proposal: clean = %d (%v), want 3", clean, m)
@@ -159,7 +159,7 @@ func TestMatchDefinitionsVetting(t *testing.T) {
 func TestStateCaptureWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := randomClusterProgram(rng, 12)
-	g := NewGreedy(p.Clone(), Config{Parallelism: 1})
+	g := NewGreedy(p.Clone(), nil, Config{Parallelism: 1}, nil)
 	if g.State() == nil {
 		t.Fatal("pre-merge State is nil")
 	}
@@ -180,10 +180,10 @@ func TestWarmIdentityAliasesMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p := randomClusterProgram(rng, 40)
 	cfg := Config{Parallelism: 1}
-	st := NewGreedy(p.Clone(), cfg).State()
+	st := NewGreedy(p.Clone(), nil, cfg, nil).State()
 	frozen := append([]uint32(nil), st.dist...)
 
-	g := NewGreedySnapWarm(p.Clone(), nil, cfg, &Warm{State: st, Map: identityMap(40)})
+	g := NewGreedy(p.Clone(), nil, cfg, &Warm{State: st, Map: identityMap(40)})
 	if &g.dist[0] != &st.dist[0] {
 		t.Fatal("identity warm start copied the triangle instead of aliasing it")
 	}

@@ -32,7 +32,7 @@ type ApplyInfo struct {
 }
 
 // Apply builds the snapshot of snap's database with delta applied, sharing
-// structure with snap wherever the delta permits, using one worker per CPU.
+// structure with snap wherever the delta permits.
 //
 // The fast path rebuilds only the shards the delta touches: the label table
 // and its intern map are aliased outright, untouched histogram chunks are
@@ -60,16 +60,13 @@ type ApplyInfo struct {
 // The receiver snapshot and its database are never mutated; extractions
 // holding them remain valid. Either way the result is semantically identical
 // to Compile over a scratch-built copy of the mutated database.
-func Apply(snap *Snapshot, delta *graph.Delta) (*Snapshot, *ApplyInfo, error) {
-	return ApplyCheck(snap, delta, 0, nil)
-}
-
-// ApplyCheck is Apply with an explicit worker count (<= 0 means one per CPU,
-// 1 runs serially) and a cooperative cancellation checkpoint (nil means
-// "never cancel"), mirroring CompileCheck. Dirty shards rebuild in parallel
-// on the worker pool; a single-shard snapshot's incremental path runs
-// serially as before (it is memmove-bound, and deltas are small).
-func ApplyCheck(snap *Snapshot, delta *graph.Delta, workers int, check func() error) (*Snapshot, *ApplyInfo, error) {
+//
+// workers bounds the worker pool (<= 0 means one per CPU, 1 runs serially)
+// and check is a cooperative cancellation checkpoint (nil means "never
+// cancel"), as for Compile. Dirty shards rebuild in parallel on the worker
+// pool; a single-shard snapshot's incremental path runs serially (it is
+// memmove-bound, and deltas are small).
+func Apply(snap *Snapshot, delta *graph.Delta, workers int, check func() error) (*Snapshot, *ApplyInfo, error) {
 	child, eff, err := snap.db.ApplyDelta(delta)
 	if err != nil {
 		return nil, nil, err
@@ -140,7 +137,7 @@ func labelUniverseChanged(snap *Snapshot, eff *graph.DeltaEffect) bool {
 }
 
 // applyIncremental compiles child against its parent snapshot. Preconditions
-// established by ApplyCheck: the label universe is unchanged and no existing
+// established by Apply: the label universe is unchanged and no existing
 // object flipped atomic↔complex, so parent label IDs, complex positions, and
 // every untouched object's CSR and histogram rows remain valid verbatim.
 //

@@ -106,12 +106,12 @@ func TestApplyMatchesFullCompile(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			db := buildDB(t)
-			parent := Compile(db)
-			parentRef := Compile(db.Clone())
+			parent := compileDB(t, db)
+			parentRef := compileDB(t, db.Clone())
 
 			var d graph.Delta
 			c.delta(&d)
-			got, info, err := Apply(parent, &d)
+			got, info, err := Apply(parent, &d, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func TestApplyMatchesFullCompile(t *testing.T) {
 				t.Fatalf("info = {Shared:%v PosStable:%v}, want {%v %v}",
 					info.Shared, info.PosStable, c.wantShared, c.wantPosStable)
 			}
-			snapEqual(t, got, Compile(got.DB().Clone()), "apply vs full compile")
+			snapEqual(t, got, compileDB(t, got.DB().Clone()), "apply vs full compile")
 			// The parent snapshot must be untouched by the child's existence.
 			snapEqual(t, parent, parentRef, "parent after apply")
 		})
@@ -131,10 +131,10 @@ func TestApplyMatchesFullCompile(t *testing.T) {
 // shared apply reports Shared.
 func TestApplySharesUntouchedRows(t *testing.T) {
 	db := buildDB(t)
-	parent := Compile(db)
+	parent := compileDB(t, db)
 	var d graph.Delta
 	d.AddLink("a", "c", "member")
-	got, info, err := Apply(parent, &d)
+	got, info, err := Apply(parent, &d, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +153,11 @@ func TestApplySharesUntouchedRows(t *testing.T) {
 // without corrupting the parent snapshot.
 func TestApplyErrorLeavesParentUsable(t *testing.T) {
 	db := buildDB(t)
-	parent := Compile(db)
-	parentRef := Compile(db.Clone())
+	parent := compileDB(t, db)
+	parentRef := compileDB(t, db.Clone())
 	var d graph.Delta
 	d.RemoveLink("root", "nope", "member")
-	if _, _, err := Apply(parent, &d); err == nil {
+	if _, _, err := Apply(parent, &d, 0, nil); err == nil {
 		t.Fatal("expected error for missing link")
 	}
 	snapEqual(t, parent, parentRef, "parent after failed apply")

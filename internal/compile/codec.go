@@ -307,7 +307,7 @@ func decodeHist(d *dec, maxRows int) Hist {
 // is read here: every shard is attached to the returned snapshot's residency
 // manager as a non-resident ref, and is faulted in — checksum-verified — the
 // first time an accessor touches its object range. memBudget bounds the
-// resident-shard bytes exactly as in CompileBudget (<= 0 means unlimited
+// resident-shard bytes exactly as in Compile (<= 0 means unlimited
 // residency, still lazily loaded).
 //
 // The db must be the same instance the encoded snapshot was compiled from

@@ -25,7 +25,7 @@ func codecDBs(t *testing.T) map[string]*graph.DB {
 func TestShardCodecRoundTrip(t *testing.T) {
 	for name, db := range codecDBs(t) {
 		for _, shards := range []int{1, 4, 0} {
-			s, err := CompileShardsCheck(db, shards, 0, nil)
+			s, err := Compile(db, shards, 0, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +50,7 @@ func TestShardCodecRoundTrip(t *testing.T) {
 // TestShardCodecRejectsCorruption: wrong magic, any flipped payload byte,
 // truncation, and inconsistent length fields all surface as *CodecError.
 func TestShardCodecRejectsCorruption(t *testing.T) {
-	s, err := CompileShardsCheck(chainDB(t, 256), 4, 0, nil)
+	s, err := Compile(chainDB(t, 256), 4, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestShardCodecRejectsCorruption(t *testing.T) {
 
 // writeShardFiles spills every shard of s into dir and returns the paths, in
 // shard order — the shape the serving layer's shard-granular spill produces.
-func writeShardFiles(t *testing.T, s *Snapshot, dir string) []string {
+func writeShardFiles(t testing.TB, s *Snapshot, dir string) []string {
 	t.Helper()
 	files := make([]string, s.NumShards())
 	for si := range files {
@@ -108,7 +108,7 @@ func writeShardFiles(t *testing.T, s *Snapshot, dir string) []string {
 func TestCoreCodecRoundTrip(t *testing.T) {
 	for name, db := range codecDBs(t) {
 		for _, shards := range []int{1, 4, 0} {
-			s, err := CompileShardsCheck(db, shards, 0, nil)
+			s, err := Compile(db, shards, 0, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +136,7 @@ func TestCoreCodecRoundTrip(t *testing.T) {
 // database, with the wrong shard-file count, or corrupted, is refused.
 func TestCoreCodecRejectsMismatch(t *testing.T) {
 	db := chainDB(t, 256)
-	s, err := CompileShardsCheck(db, 4, 0, nil)
+	s, err := Compile(db, 4, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestCoreCodecRejectsMismatch(t *testing.T) {
 // path; the facade contains it), not as silent garbage.
 func TestLoadSnapshotFaultPanicsOnBadFile(t *testing.T) {
 	db := chainDB(t, 256)
-	s, err := CompileShardsCheck(db, 4, 0, nil)
+	s, err := Compile(db, 4, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

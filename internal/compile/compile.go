@@ -169,40 +169,22 @@ type Snapshot struct {
 	nLinks     int
 }
 
-// Compile builds the snapshot of db using one worker per CPU and automatic
-// shard layout. The result is identical at any worker count (workers write
-// disjoint rows).
-func Compile(db *graph.DB) *Snapshot {
-	s, _ := CompileCheck(db, 0, nil)
-	return s
-}
-
-// CompileCheck is Compile with an explicit worker count (<= 0 means one per
-// CPU, 1 runs serially) and a cooperative cancellation checkpoint (nil
-// means "never cancel"). On a non-nil check error compilation stops, all
-// workers are joined, and the error is returned with a nil snapshot.
-func CompileCheck(db *graph.DB, workers int, check func() error) (*Snapshot, error) {
-	return CompileShardsCheck(db, 0, workers, check)
-}
-
-// CompileShardsCheck is CompileCheck with an explicit shard count: 0 sizes
-// shards automatically from the graph, 1 compiles the single flat block of
-// the pre-sharding layout, and k > 1 partitions the object space into (at
-// most) k fixed ranges. Purely a layout knob — the snapshot's contents are
-// bit-identical at any setting.
-func CompileShardsCheck(db *graph.DB, shards, workers int, check func() error) (*Snapshot, error) {
-	return CompileBudget(db, shards, workers, 0, check)
-}
-
-// CompileBudget is CompileShardsCheck with a resident-shard memory budget in
-// bytes. A positive budget (or the TestMemBudgetEnv override when the budget
-// is 0) attaches a residency manager after compilation: every shard is
-// spilled through the codec to a write-once file and the byte-budgeted LRU
-// keeps only the hottest shards resident, faulting the rest in behind the
-// Out/In accessor seam. Budget 0 without the override keeps the snapshot
-// fully resident. Purely a paging knob — results are bit-identical at any
-// budget.
-func CompileBudget(db *graph.DB, shards, workers int, memBudget int64, check func() error) (*Snapshot, error) {
+// Compile builds the snapshot of db. workers bounds the worker pool (<= 0
+// means one per CPU, 1 runs serially); the result is identical at any worker
+// count (workers write disjoint rows). shards sets the layout: 0 sizes shards
+// automatically from the graph, 1 compiles the single flat block of the
+// pre-sharding layout, and k > 1 partitions the object space into (at most)
+// k fixed ranges. A positive memBudget in bytes (or the TestMemBudgetEnv
+// override when it is 0) attaches a residency manager after compilation:
+// every shard is spilled through the codec to a write-once file and the
+// byte-budgeted LRU keeps only the hottest shards resident, faulting the rest
+// in behind the Out/In accessor seam; budget 0 without the override keeps
+// the snapshot fully resident. Layout and budget are pure knobs — the
+// snapshot's contents are bit-identical at any setting. check is a
+// cooperative cancellation checkpoint (nil means "never cancel"); on a
+// non-nil check error compilation stops, all workers are joined, and the
+// error is returned with a nil snapshot.
+func Compile(db *graph.DB, shards, workers int, memBudget int64, check func() error) (*Snapshot, error) {
 	s, err := compileShift(db, shardShiftFor(shards, db.NumObjects()), workers, check)
 	if err != nil {
 		return nil, err

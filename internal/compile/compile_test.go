@@ -9,6 +9,17 @@ import (
 	"schemex/internal/graph"
 )
 
+// compileDB compiles db with the automatic layout on every CPU, fully
+// resident unless the test budget override applies.
+func compileDB(t testing.TB, db *graph.DB) *Snapshot {
+	t.Helper()
+	s, err := Compile(db, 0, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func buildSample() *graph.DB {
 	db := graph.New()
 	db.Link("gates", "microsoft", "is-manager-of")
@@ -21,7 +32,7 @@ func buildSample() *graph.DB {
 
 func TestSnapshotMirrorsDB(t *testing.T) {
 	db := buildSample()
-	s := Compile(db)
+	s := compileDB(t, db)
 
 	if s.NumObjects() != db.NumObjects() {
 		t.Fatalf("NumObjects = %d, want %d", s.NumObjects(), db.NumObjects())
@@ -73,7 +84,7 @@ func TestSnapshotMirrorsDB(t *testing.T) {
 
 func TestSnapshotHistograms(t *testing.T) {
 	db, _ := dbg.Generate(dbg.Options{})
-	s := Compile(db)
+	s := compileDB(t, db)
 	for pi, o := range s.Complex {
 		wantOutC := make(map[string]int32)
 		wantOutA := make(map[string]int32)
@@ -111,11 +122,11 @@ func TestSnapshotHistograms(t *testing.T) {
 
 func TestCompileDeterministicAcrossWorkers(t *testing.T) {
 	db, _ := dbg.Generate(dbg.Options{})
-	serial, err := CompileCheck(db, 1, nil)
+	serial, err := Compile(db, 0, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := CompileCheck(db, 0, nil)
+	parallel, err := Compile(db, 0, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +136,7 @@ func TestCompileDeterministicAcrossWorkers(t *testing.T) {
 func TestCompileCancelled(t *testing.T) {
 	db, _ := dbg.Generate(dbg.Options{})
 	boom := errors.New("boom")
-	s, err := CompileCheck(db, 1, func() error { return boom })
+	s, err := Compile(db, 0, 1, 0, func() error { return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
@@ -135,7 +146,7 @@ func TestCompileCancelled(t *testing.T) {
 }
 
 func TestEmptyDB(t *testing.T) {
-	s := Compile(graph.New())
+	s := compileDB(t, graph.New())
 	if s.NumObjects() != 0 || s.NumComplex() != 0 || s.NumLabels() != 0 || s.NumLinks() != 0 {
 		t.Fatal("empty snapshot has nonzero counts")
 	}

@@ -23,11 +23,13 @@
 //     (LRU bookkeeping). Eviction takes only res.mu and flips the resident
 //     pointer atomically, so it never waits on a fault in progress.
 //     Residency locks are leaves: nothing is called under them, so callers
-//     holding serving-layer locks (the HTTP stripe locks) can fault freely.
+//     holding their own locks can fault freely.
 //
 // A fault that cannot read its shard file panics; the facade's panic
 // containment converts that into an *InternalError, the same contract as
-// any other broken invariant behind the error-free accessors.
+// any other broken invariant behind the error-free accessors. Faults inside
+// par workers reach that containment because par re-raises worker panics
+// on the calling goroutine.
 package compile
 
 import (
@@ -141,8 +143,8 @@ func newResidency(budget int64) (*Residency, error) {
 type shardRef struct {
 	res   *Residency
 	file  string
-	owned bool // file lives in res.dir and is managed by the finalizer
-	size  int64
+	owned bool  // file lives in res.dir and is managed by the finalizer
+	size  int64 // written and read under res.mu once the ref is published
 	meta  shardMeta
 
 	mu   sync.Mutex // serializes fault decode for this ref
@@ -286,9 +288,12 @@ func (ref *shardRef) fault(pin bool) *Shard {
 		}
 		statShardFaults.Add(1)
 		// The true decoded size replaces any pre-fault placeholder so the
-		// budget accounts real bytes.
-		ref.size = shardSize(sh)
+		// budget accounts real bytes. It is assigned under r.mu, where
+		// evictLocked reads it: an eviction of this same ref may still be
+		// reading the old size after dropping the pointer.
+		size := shardSize(sh)
 		r.mu.Lock()
+		ref.size = size
 		ref.ptr.Store(sh)
 		r.used += ref.size
 		if ref.pins == 0 {

@@ -25,12 +25,12 @@ func budgetFor2(s *Snapshot) int64 {
 // evicting and faulting shards.
 func TestBudgetedCompileMatchesResident(t *testing.T) {
 	db := chainDB(t, 512)
-	resident, err := CompileShardsCheck(db, 8, 0, nil)
+	resident, err := Compile(db, 8, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := ResidencyStats()
-	budgeted, err := CompileBudget(db, 8, 0, budgetFor2(resident), nil)
+	budgeted, err := Compile(db, 8, 0, budgetFor2(resident), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,14 +58,14 @@ func TestBudgetedCompileMatchesResident(t *testing.T) {
 // the lineage and dirty shards re-entering the LRU.
 func TestBudgetedApplyLineage(t *testing.T) {
 	db := chainDB(t, 256)
-	cur, err := CompileBudget(db, 4, 0, 1<<10, nil) // ~1 shard resident
+	cur, err := Compile(db, 4, 0, 1<<10, nil) // ~1 shard resident
 	if err != nil {
 		t.Fatal(err)
 	}
 	for step := 0; step < 4; step++ {
 		var d graph.Delta
 		d.AddLink(fmt.Sprintf("n%d", step*13), fmt.Sprintf("n%d", 255-step*17), "next")
-		next, info, err := Apply(cur, &d)
+		next, info, err := Apply(cur, &d, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestBudgetedApplyLineage(t *testing.T) {
 		if next.res != cur.res {
 			t.Fatalf("step %d: child left the residency lineage", step)
 		}
-		scratch, err := CompileShardsCheck(next.DB().Clone(), 4, 0, nil)
+		scratch, err := Compile(next.DB().Clone(), 4, 0, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,13 +87,13 @@ func TestBudgetedApplyLineage(t *testing.T) {
 // TestBudgetedApplyFallbackLineage: the full-recompile fallback (new label)
 // keeps the child in the parent's residency lineage.
 func TestBudgetedApplyFallbackLineage(t *testing.T) {
-	cur, err := CompileBudget(chainDB(t, 256), 4, 0, 1<<10, nil)
+	cur, err := Compile(chainDB(t, 256), 4, 0, 1<<10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var d graph.Delta
 	d.AddLink("n0", "n100", "brand-new-label")
-	next, info, err := Apply(cur, &d)
+	next, info, err := Apply(cur, &d, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestBudgetedApplyFallbackLineage(t *testing.T) {
 	if next.res != cur.res {
 		t.Fatal("fallback child left the residency lineage")
 	}
-	scratch, err := CompileShardsCheck(next.DB().Clone(), 4, 0, nil)
+	scratch, err := Compile(next.DB().Clone(), 4, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestBudgetedApplyFallbackLineage(t *testing.T) {
 // evicts nothing (pins overcommit the budget); releasing re-enables
 // eviction.
 func TestPinShardsHoldsResidency(t *testing.T) {
-	s, err := CompileBudget(chainDB(t, 512), 8, 0, 1<<10, nil)
+	s, err := Compile(chainDB(t, 512), 8, 0, 1<<10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +143,12 @@ func TestPinShardsHoldsResidency(t *testing.T) {
 // as a data mismatch as well as a race report.
 func TestResidencyConcurrentReaders(t *testing.T) {
 	db := chainDB(t, 512)
-	resident, err := CompileShardsCheck(db, 8, 0, nil)
+	resident, err := Compile(db, 8, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := flatten(resident)
-	s, err := CompileBudget(db, 8, 0, budgetFor2(resident), nil)
+	s, err := Compile(db, 8, 0, budgetFor2(resident), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestResidencyConcurrentReaders(t *testing.T) {
 // recursively while still holding ref.mu: the old code hung here, the loop
 // form must complete. Run under -race in CI.
 func TestFaultEvictRace(t *testing.T) {
-	s, err := CompileBudget(chainDB(t, 512), 8, 0, 1, nil) // evict on every unpin
+	s, err := Compile(chainDB(t, 512), 8, 0, 1, nil) // evict on every unpin
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestMemBudgetEnvOverride(t *testing.T) {
 	if got := memBudgetFor(1 << 20); got != 1<<20 {
 		t.Fatalf("memBudgetFor(1MiB) = %d, explicit budget must win", got)
 	}
-	s := Compile(chainDB(t, 512))
+	s := compileDB(t, chainDB(t, 512))
 	if s.res == nil {
 		t.Fatal("env override did not attach a residency manager")
 	}

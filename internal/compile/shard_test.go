@@ -11,7 +11,7 @@ import (
 // chainDB builds n complex objects n0..n(n-1) linked in a chain by "next":
 // IDs are assigned in creation order, so object n<i> has ID i and shard
 // membership is predictable from the shard size.
-func chainDB(t *testing.T, n int) *graph.DB {
+func chainDB(t testing.TB, n int) *graph.DB {
 	t.Helper()
 	db := graph.New()
 	for i := 0; i+1 < n; i++ {
@@ -36,7 +36,7 @@ func TestShardedCompileMatchesFlat(t *testing.T) {
 		{"chain256", chainDB(t, 256)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			flat, err := CompileShardsCheck(tc.db, 1, 1, nil)
+			flat, err := Compile(tc.db, 1, 1, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +45,7 @@ func TestShardedCompileMatchesFlat(t *testing.T) {
 			}
 			for _, shards := range []int{0, 2, 4, 7} {
 				for _, workers := range []int{1, 0} {
-					s, err := CompileShardsCheck(tc.db, shards, workers, nil)
+					s, err := Compile(tc.db, shards, workers, 0, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -114,11 +114,11 @@ func checkShardInvariants(t *testing.T, s *Snapshot) {
 func TestShardsEnvOverride(t *testing.T) {
 	db := chainDB(t, 256)
 	t.Setenv(TestShardsEnv, "4")
-	auto := Compile(db)
+	auto := compileDB(t, db)
 	if auto.NumShards() != 4 {
 		t.Fatalf("auto shards under env override = %d, want 4", auto.NumShards())
 	}
-	explicit, err := CompileShardsCheck(db, 1, 0, nil)
+	explicit, err := Compile(db, 1, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,21 +142,21 @@ func sharedShard(got, parent *Snapshot, si int) bool {
 // checks the result against a scratch compile of the mutated graph.
 func applyBoundary(t *testing.T, db *graph.DB, d *graph.Delta, wantShared bool) (parent, got *Snapshot) {
 	t.Helper()
-	parent, err := CompileShardsCheck(db, 4, 0, nil)
+	parent, err := Compile(db, 4, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if parent.ShardSize() != 64 || parent.NumShards() != 4 {
 		t.Fatalf("fixture layout = %d shards of %d, want 4 of 64", parent.NumShards(), parent.ShardSize())
 	}
-	got, info, err := Apply(parent, d)
+	got, info, err := Apply(parent, d, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Shared != wantShared {
 		t.Fatalf("Shared = %v, want %v", info.Shared, wantShared)
 	}
-	scratch, err := CompileShardsCheck(got.DB().Clone(), 4, 0, nil)
+	scratch, err := Compile(got.DB().Clone(), 4, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestApplyAliasesUntouchedShards(t *testing.T) {
 // TestEmptyDBSharded: an empty graph compiles to zero shards at any count.
 func TestEmptyDBSharded(t *testing.T) {
 	for _, shards := range []int{0, 1, 4} {
-		s, err := CompileShardsCheck(graph.New(), shards, 0, nil)
+		s, err := Compile(graph.New(), shards, 0, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

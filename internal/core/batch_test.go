@@ -27,14 +27,14 @@ func TestApplyBatchShardDeterminism(t *testing.T) {
 	ctx := context.Background()
 	const batch = 4
 	for _, cfg := range shardConfigs {
-		cur, err := PrepareContext(ctx, db, cfg.par, cfg.shards)
+		cur, err := Prepare(ctx, db, cfg.par, cfg.shards, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		batches := 0
 		for i := 0; i < len(deltas); i += batch {
 			end := min(i+batch, len(deltas))
-			next, _, err := cur.ApplyBatchContext(ctx, deltas[i:end], cfg.par)
+			next, _, err := cur.ApplyBatch(ctx, deltas[i:end], cfg.par)
 			if err != nil {
 				t.Fatalf("shards=%d p=%d batch [%d,%d): %v", cfg.shards, cfg.par, i, end, err)
 			}
@@ -43,7 +43,7 @@ func TestApplyBatchShardDeterminism(t *testing.T) {
 			if got, want := cur.Version(), uint64(end); got != want {
 				t.Fatalf("shards=%d p=%d: version %d after %d deltas", cfg.shards, cfg.par, got, want)
 			}
-			res, err := ExtractPreparedContext(ctx, cur, Options{K: 5, Parallelism: cfg.par})
+			res, err := ExtractPrepared(ctx, cur, Options{K: 5, Parallelism: cfg.par})
 			if err != nil {
 				t.Fatalf("shards=%d p=%d extract after %d: %v", cfg.shards, cfg.par, end, err)
 			}
@@ -67,7 +67,7 @@ func TestApplyBatchCoalesces(t *testing.T) {
 	db.Link("root", "a", "child")
 	db.Link("root", "b", "child")
 	db.Freeze()
-	p, err := Prepare(db)
+	p, err := Prepare(context.Background(), db, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestApplyBatchCoalesces(t *testing.T) {
 		new(graph.Delta).RemoveLink("a", "b", "tmp"),
 		new(graph.Delta).AddLink("a", "b", "peer"),
 	}
-	child, _, err := p.ApplyBatchContext(context.Background(), ds, 1)
+	child, _, err := p.ApplyBatch(context.Background(), ds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestApplyBatchFailureLeavesParent(t *testing.T) {
 	db := graph.New()
 	db.Link("root", "a", "child")
 	db.Freeze()
-	p, err := Prepare(db)
+	p, err := Prepare(context.Background(), db, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,14 +106,14 @@ func TestApplyBatchFailureLeavesParent(t *testing.T) {
 		new(graph.Delta).AddLink("a", "fresh", "x"),
 		new(graph.Delta).RemoveLink("a", "ghost", "nope"), // fails sequentially
 	}
-	if _, _, err := p.ApplyBatchContext(context.Background(), ds, 1); err == nil {
+	if _, _, err := p.ApplyBatch(context.Background(), ds, 1); err == nil {
 		t.Fatal("expected batch failure")
 	}
 	if got := p.Version(); got != 0 {
 		t.Fatalf("parent version moved to %d", got)
 	}
 	// The parent is untouched and the good delta still applies on its own.
-	child, _, err := p.ApplyContext(context.Background(), ds[0], 1)
+	child, _, err := p.Apply(context.Background(), ds[0], 1)
 	if err != nil {
 		t.Fatalf("parent unusable after failed batch: %v", err)
 	}

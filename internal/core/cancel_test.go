@@ -84,7 +84,7 @@ func TestCancelledExtractLeaksNoGoroutines(t *testing.T) {
 func TestSweepContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := SweepContext(ctx, dbgGraph(t), Options{})
+	_, err := Sweep(ctx, dbgGraph(t), Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}

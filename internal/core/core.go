@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -492,38 +491,29 @@ func stage1KeyOf(opts Options) (stage1Key, bool) {
 	}, true
 }
 
-// Prepare compiles db into a reusable extraction context.
-func Prepare(db *graph.DB) (*Prepared, error) {
-	return PrepareContext(context.Background(), db, 0, 0)
-}
-
-// PrepareContext is Prepare with cooperative cancellation, an explicit
-// worker bound for the compilation (<= 0 means one per CPU), and a shard
-// count for the snapshot layout (see Options.Shards; 0 means automatic).
-func PrepareContext(ctx context.Context, db *graph.DB, parallelism, shards int) (*Prepared, error) {
-	return PrepareBudget(ctx, db, parallelism, shards, 0)
-}
-
-// PrepareBudget is PrepareContext with a resident-shard memory budget in
-// bytes (see Options.MemBudget; 0 means fully resident). Snapshots derived
-// from the result through Apply inherit the budget — one LRU serves the
-// whole session lineage.
-func PrepareBudget(ctx context.Context, db *graph.DB, parallelism, shards int, memBudget int64) (*Prepared, error) {
-	snap, err := compile.CompileBudget(db, shards, par.Workers(parallelism), memBudget, checkFunc(ctx))
+// Prepare compiles db into a reusable extraction context. parallelism
+// bounds the compilation's workers (<= 0 means one per CPU), shards sets the
+// snapshot layout (see Options.Shards; 0 means automatic), and memBudget the
+// resident-shard memory budget in bytes (see Options.MemBudget; 0 means
+// fully resident). Snapshots derived from the result through Apply inherit
+// the budget — one LRU serves the whole session lineage. The compilation
+// stops at the next checkpoint once ctx is cancelled.
+func Prepare(ctx context.Context, db *graph.DB, parallelism, shards int, memBudget int64) (*Prepared, error) {
+	snap, err := compile.Compile(db, shards, par.Workers(parallelism), memBudget, checkFunc(ctx))
 	if err != nil {
 		return nil, err
 	}
 	return &Prepared{db: db, snap: snap, stats: &IncrStats{}}, nil
 }
 
-// PrepareSpilledContext reconstructs a Prepared from a shard-granular spill:
+// PrepareSpilled reconstructs a Prepared from a shard-granular spill:
 // an EncodeCore blob plus one EncodeShard file per shard (in shard order).
 // No shard file is read here — each faults in, checksum-verified, on first
 // access — so rehydrating a durable session costs the core blob plus only
 // the shards the next request touches. db must be the database the spilled
 // snapshot was compiled from (the serving layer persists the graph text
 // beside the shard files).
-func PrepareSpilledContext(ctx context.Context, db *graph.DB, core []byte, shardFiles []string, memBudget int64) (*Prepared, error) {
+func PrepareSpilled(ctx context.Context, db *graph.DB, core []byte, shardFiles []string, memBudget int64) (*Prepared, error) {
 	if check := checkFunc(ctx); check != nil {
 		if err := check(); err != nil {
 			return nil, err
@@ -550,63 +540,6 @@ func (p *Prepared) EncodeShard(si int) []byte { return p.snap.ShardBytes(si) }
 // layout, so the count is stable across a session (it grows only when new
 // objects spill past the last shard's range).
 func (p *Prepared) NumShards() int { return p.snap.NumShards() }
-
-// DeltaShards maps a delta's object footprint onto the prepared snapshot's
-// shards: the ascending list of shard indexes holding an object the delta
-// references (RemoveObject ops are widened with the object's neighbours,
-// whose edge lists a detach rewrites). exclusive=true means the footprint
-// cannot be confined — the delta names an object unknown to this state, and
-// interning appends IDs at the top of the space, possibly growing new
-// shards.
-//
-// The footprint is advisory, for lock admission in serving layers:
-// correctness never rests on it, because Apply is copy-on-write and a
-// serving head swap always revalidates the parent it branched from. An
-// over-wide footprint only costs concurrency; DeltaShards never returns an
-// under-wide one for the state it was asked about.
-func (p *Prepared) DeltaShards(d *graph.Delta) (shards []int, exclusive bool) {
-	snap := p.snap
-	seen := make(map[int]struct{}, 4)
-	touch := func(o graph.ObjectID) {
-		seen[snap.ShardOf(o)] = struct{}{}
-	}
-	d.ForEachName(func(name string) {
-		if exclusive {
-			return
-		}
-		id := p.db.Lookup(name)
-		if id == graph.NoObject {
-			exclusive = true
-			return
-		}
-		touch(id)
-	})
-	if !exclusive {
-		d.ForEachRemovedObject(func(name string) {
-			id := p.db.Lookup(name)
-			if id == graph.NoObject {
-				return // already forced exclusive by ForEachName
-			}
-			to, _ := snap.Out(id)
-			for _, t := range to {
-				touch(graph.ObjectID(t))
-			}
-			from, _ := snap.In(id)
-			for _, f := range from {
-				touch(graph.ObjectID(f))
-			}
-		})
-	}
-	if exclusive {
-		return nil, true
-	}
-	shards = make([]int, 0, len(seen))
-	for si := range seen {
-		shards = append(shards, si)
-	}
-	sort.Ints(shards)
-	return shards, false
-}
 
 // Stats returns the incremental-extraction counters accumulated across this
 // Prepared's whole session lineage (the root and every descendant derived
@@ -639,14 +572,9 @@ func (p *Prepared) SetBaseVersion(v uint64) { p.version = v }
 // Stage 1 fixpoint as a warm start, so extracting from the child after a
 // small delta costs work proportional to the delta's neighborhood, not the
 // database. Results are bit-identical to preparing the mutated database from
-// scratch.
-func (p *Prepared) Apply(delta *graph.Delta) (*Prepared, *compile.ApplyInfo, error) {
-	return p.ApplyContext(context.Background(), delta, 0)
-}
-
-// ApplyContext is Apply with cooperative cancellation and an explicit worker
-// bound for the incremental compilation (<= 0 means one per CPU).
-func (p *Prepared) ApplyContext(ctx context.Context, delta *graph.Delta, parallelism int) (*Prepared, *compile.ApplyInfo, error) {
+// scratch. parallelism bounds the incremental compilation's workers (<= 0
+// means one per CPU); it stops at the next checkpoint once ctx is cancelled.
+func (p *Prepared) Apply(ctx context.Context, delta *graph.Delta, parallelism int) (*Prepared, *compile.ApplyInfo, error) {
 	return p.applyAdvance(ctx, delta, parallelism, 1)
 }
 
@@ -658,14 +586,8 @@ func (p *Prepared) ApplyContext(ctx context.Context, delta *graph.Delta, paralle
 // application. The result is bit-identical to applying the deltas one at a
 // time; if any delta in the batch would fail, the whole batch fails and p is
 // unchanged — callers needing per-delta error attribution fall back to
-// sequential ApplyContext calls.
-func (p *Prepared) ApplyBatch(deltas []*graph.Delta) (*Prepared, *compile.ApplyInfo, error) {
-	return p.ApplyBatchContext(context.Background(), deltas, 0)
-}
-
-// ApplyBatchContext is ApplyBatch with cooperative cancellation and an
-// explicit worker bound.
-func (p *Prepared) ApplyBatchContext(ctx context.Context, deltas []*graph.Delta, parallelism int) (*Prepared, *compile.ApplyInfo, error) {
+// sequential Apply calls. ctx and parallelism are as for Apply.
+func (p *Prepared) ApplyBatch(ctx context.Context, deltas []*graph.Delta, parallelism int) (*Prepared, *compile.ApplyInfo, error) {
 	merged := graph.MergeDeltas(deltas...)
 	apply := merged
 	if co, ok := merged.Coalesce(p.db); ok {
@@ -686,7 +608,7 @@ func (p *Prepared) ApplyBatchContext(ctx context.Context, deltas []*graph.Delta,
 // derive a child advanced by `advance` versions (1 for a single delta, N for
 // a batch standing in for N sequential deltas).
 func (p *Prepared) applyAdvance(ctx context.Context, delta *graph.Delta, parallelism int, advance uint64) (*Prepared, *compile.ApplyInfo, error) {
-	snap, info, err := compile.ApplyCheck(p.snap, delta, par.Workers(parallelism), checkFunc(ctx))
+	snap, info, err := compile.Apply(p.snap, delta, par.Workers(parallelism), checkFunc(ctx))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -766,7 +688,7 @@ func (p *Prepared) stage1(opts Options, check func() error) (*perfect.Result, er
 			return s1, nil
 		}
 	}
-	res, err := perfect.MinimalSnapWarm(p.snap, opts.perfectOptions(check), warm)
+	res, err := perfect.Minimal(p.snap, opts.perfectOptions(check), warm)
 	if err != nil {
 		return nil, err
 	}
@@ -794,7 +716,7 @@ func ExtractContext(ctx context.Context, db *graph.DB, opts Options) (*Result, e
 	if err := opts.Limits.checkGraph(db); err != nil {
 		return nil, err
 	}
-	prep, err := PrepareBudget(ctx, db, opts.Parallelism, opts.Shards, opts.MemBudget)
+	prep, err := Prepare(ctx, db, opts.Parallelism, opts.Shards, opts.MemBudget)
 	if err != nil {
 		return nil, wrapWall(err)
 	}
@@ -806,14 +728,9 @@ func ExtractContext(ctx context.Context, db *graph.DB, opts Options) (*Result, e
 }
 
 // ExtractPrepared runs the pipeline over a prepared context, skipping the
-// snapshot compilation (and, when the Stage-1 options repeat, Stage 1).
-func ExtractPrepared(p *Prepared, opts Options) (*Result, error) {
-	return ExtractPreparedContext(context.Background(), p, opts)
-}
-
-// ExtractPreparedContext is ExtractPrepared with cancellation and budgets,
-// with the same contract as ExtractContext.
-func ExtractPreparedContext(ctx context.Context, p *Prepared, opts Options) (*Result, error) {
+// snapshot compilation (and, when the Stage-1 options repeat, Stage 1), with
+// the same cancellation and budget contract as ExtractContext.
+func ExtractPrepared(ctx context.Context, p *Prepared, opts Options) (*Result, error) {
 	ctx, cancel, wrapWall := opts.Limits.withWallClock(ctx)
 	defer cancel()
 	res, err := extract(ctx, p, opts)
@@ -938,7 +855,7 @@ func extract(ctx context.Context, prep *Prepared, opts Options) (*Result, error)
 		// this exact pre-clustering program.
 		capture = s23.state
 	} else {
-		g := cluster.NewGreedySnapWarm(baseProg.Clone(), prep.snap, opts.clusterConfig(pinned, check), warm)
+		g := cluster.NewGreedy(baseProg.Clone(), prep.snap, opts.clusterConfig(pinned, check), warm)
 		// Capture the seeded pre-merge matrix before any move mutates it; the
 		// capture aliases the triangle (the engine clones lazily on its first
 		// move), so retaining state costs nothing when no merges follow.
@@ -970,7 +887,7 @@ func extract(ctx context.Context, prep *Prepared, opts Options) (*Result, error)
 	if resOK && s23 != nil && s23.resOK && s23.resKey == resKey && programsAgree(prog, s23.res.Program) {
 		rcWarm = planRecastWarm(prep.snap, s23, res, opts)
 	}
-	rc, classified, err := recast.RecastSnapWarm(prep.snap, prog, res.Homes, opts.recastOptions(check), rcWarm)
+	rc, classified, err := recast.Recast(prep.snap, prog, res.Homes, opts.recastOptions(check), rcWarm)
 	if err != nil {
 		return nil, err
 	}
@@ -1229,20 +1146,15 @@ type SweepResult struct {
 
 // Sweep runs Stage 1 once and then the greedy coalescing from the perfect
 // typing down to one type, recasting and measuring the defect at every
-// intermediate number of types — the Figure 6 experiment.
-func Sweep(db *graph.DB, opts Options) (*SweepResult, error) {
-	return SweepContext(context.Background(), db, opts)
-}
-
-// SweepContext is Sweep with cooperative cancellation and resource budgets,
-// with the same contract as ExtractContext.
-func SweepContext(ctx context.Context, db *graph.DB, opts Options) (*SweepResult, error) {
+// intermediate number of types — the Figure 6 experiment — with the same
+// cancellation and budget contract as ExtractContext.
+func Sweep(ctx context.Context, db *graph.DB, opts Options) (*SweepResult, error) {
 	ctx, cancel, wrapWall := opts.Limits.withWallClock(ctx)
 	defer cancel()
 	if err := opts.Limits.checkGraph(db); err != nil {
 		return nil, err
 	}
-	prep, err := PrepareBudget(ctx, db, opts.Parallelism, opts.Shards, opts.MemBudget)
+	prep, err := Prepare(ctx, db, opts.Parallelism, opts.Shards, opts.MemBudget)
 	if err != nil {
 		return nil, wrapWall(err)
 	}
@@ -1253,14 +1165,9 @@ func SweepContext(ctx context.Context, db *graph.DB, opts Options) (*SweepResult
 	return sw, nil
 }
 
-// SweepPrepared runs the sensitivity sweep over a prepared context.
-func SweepPrepared(p *Prepared, opts Options) (*SweepResult, error) {
-	return SweepPreparedContext(context.Background(), p, opts)
-}
-
-// SweepPreparedContext is SweepPrepared with cancellation and budgets, with
-// the same contract as SweepContext.
-func SweepPreparedContext(ctx context.Context, p *Prepared, opts Options) (*SweepResult, error) {
+// SweepPrepared runs the sensitivity sweep over a prepared context, with
+// the same contract as Sweep.
+func SweepPrepared(ctx context.Context, p *Prepared, opts Options) (*SweepResult, error) {
 	ctx, cancel, wrapWall := opts.Limits.withWallClock(ctx)
 	defer cancel()
 	sw, err := sweep(ctx, p, opts)
@@ -1300,7 +1207,7 @@ func sweep(ctx context.Context, prep *Prepared, opts Options) (*SweepResult, err
 }
 
 func sweepFrom(check func() error, snap *compile.Snapshot, baseProg *typing.Program, baseHomes map[graph.ObjectID][]int, pinned []bool, opts Options, warm *cluster.Warm) (*SweepResult, error) {
-	g := cluster.NewGreedySnapWarm(baseProg.Clone(), snap, opts.clusterConfig(pinned, check), warm)
+	g := cluster.NewGreedy(baseProg.Clone(), snap, opts.clusterConfig(pinned, check), warm)
 	if err := g.Err(); err != nil {
 		return nil, err
 	}
@@ -1339,7 +1246,7 @@ func sweepFrom(check func() error, snap *compile.Snapshot, baseProg *typing.Prog
 	if err := par.DoItemsErr(par.Workers(opts.Parallelism), len(snaps), func(i int) error {
 		s := snaps[i]
 		homes := mapHomes(baseHomes, s.mapping)
-		rc, err := recast.RecastSnapErr(snap, s.prog, homes, rcOpts)
+		rc, _, err := recast.Recast(snap, s.prog, homes, rcOpts, nil)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"schemex/internal/cluster"
@@ -132,7 +133,7 @@ func TestExtractMultiRole(t *testing.T) {
 
 func TestSweepMonotoneDistanceAndEndpoints(t *testing.T) {
 	db := recordsDB()
-	sw, err := Sweep(db, Options{})
+	sw, err := Sweep(context.Background(), db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,17 +71,17 @@ func TestApplyStreamBudgetDeterminism(t *testing.T) {
 
 	ctx := context.Background()
 	for _, cfg := range shardConfigs {
-		cur, err := PrepareBudget(ctx, db, cfg.par, cfg.shards, 4096)
+		cur, err := Prepare(ctx, db, cfg.par, cfg.shards, 4096)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for h, d := range deltas {
-			next, _, err := cur.ApplyContext(ctx, d, cfg.par)
+			next, _, err := cur.Apply(ctx, d, cfg.par)
 			if err != nil {
 				t.Fatalf("shards=%d p=%d hop %d: %v", cfg.shards, cfg.par, h, err)
 			}
 			cur = next
-			res, err := ExtractPreparedContext(ctx, cur, Options{K: 5, Parallelism: cfg.par})
+			res, err := ExtractPrepared(ctx, cur, Options{K: 5, Parallelism: cfg.par})
 			if err != nil {
 				t.Fatalf("shards=%d p=%d hop %d extract: %v", cfg.shards, cfg.par, h, err)
 			}
@@ -94,7 +94,7 @@ func TestApplyStreamBudgetDeterminism(t *testing.T) {
 }
 
 // TestSpillRoundTripBudgetDeterminism: encode-core + per-shard spill, then
-// reload through PrepareSpilledContext at several budgets — the reloaded
+// reload through PrepareSpilled at several budgets — the reloaded
 // session must extract bit-identically to the original, and a reloaded
 // session must keep accepting deltas on the incremental path.
 func TestSpillRoundTripBudgetDeterminism(t *testing.T) {
@@ -104,11 +104,11 @@ func TestSpillRoundTripBudgetDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	orig, err := PrepareBudget(ctx, db, 0, 4, 0)
+	orig, err := Prepare(ctx, db, 0, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refRes, err := ExtractPreparedContext(ctx, orig, Options{K: 5})
+	refRes, err := ExtractPrepared(ctx, orig, Options{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,11 @@ func TestSpillRoundTripBudgetDeterminism(t *testing.T) {
 		files[si] = writeTempShard(t, dir, si, orig.EncodeShard(si))
 	}
 	for _, budget := range []int64{0, 4096, 1 << 20} {
-		re, err := PrepareSpilledContext(ctx, db, core, files, budget)
+		re, err := PrepareSpilled(ctx, db, core, files, budget)
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}
-		res, err := ExtractPreparedContext(ctx, re, Options{K: 5})
+		res, err := ExtractPrepared(ctx, re, Options{K: 5})
 		if err != nil {
 			t.Fatalf("budget %d extract: %v", budget, err)
 		}

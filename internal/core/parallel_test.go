@@ -1,15 +1,27 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"schemex/internal/cluster"
+	"schemex/internal/compile"
 	"schemex/internal/dbg"
 	"schemex/internal/graph"
 	"schemex/internal/perfect"
 	"schemex/internal/synth"
 )
+
+// snapOf compiles db with the automatic layout on every CPU.
+func snapOf(tb testing.TB, db *graph.DB) *compile.Snapshot {
+	tb.Helper()
+	snap, err := compile.Compile(db, 0, 0, 0, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap
+}
 
 // parallelFixtures returns the datasets the determinism regression runs on:
 // a bipartite preset, a recursive overlapping preset, and two DBG seeds.
@@ -55,7 +67,7 @@ func TestExtractParallelismDeterminism(t *testing.T) {
 			// does not expose its engine, but the trace is a pure function of
 			// (program, config), both of which Extract derives
 			// deterministically.
-			g := cluster.NewGreedy(res.Stage1.Program.Clone(), cluster.Config{Parallelism: p})
+			g := cluster.NewGreedy(res.Stage1.Program.Clone(), nil, cluster.Config{Parallelism: p}, nil)
 			g.RunTo(5)
 			return outcome{
 				program: res.Program.String(),
@@ -85,12 +97,12 @@ func TestExtractParallelismDeterminism(t *testing.T) {
 // at any worker count (program text, homes, and extent).
 func TestStage1ParallelismDeterminism(t *testing.T) {
 	for name, db := range parallelFixtures(t) {
-		ref, err := perfect.Minimal(db, perfect.Options{Parallelism: 1})
+		ref, err := perfect.Minimal(snapOf(t, db), perfect.Options{Parallelism: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range []int{2, 8} {
-			got, err := perfect.Minimal(db, perfect.Options{Parallelism: p})
+			got, err := perfect.Minimal(snapOf(t, db), perfect.Options{Parallelism: p}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,12 +123,12 @@ func TestStage1ParallelismDeterminism(t *testing.T) {
 // at any worker count.
 func TestSweepParallelismDeterminism(t *testing.T) {
 	db, _ := dbg.Generate(dbg.Options{Seed: 3})
-	ref, err := Sweep(db, Options{Parallelism: 1})
+	ref, err := Sweep(context.Background(), db, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 8} {
-		got, err := Sweep(db, Options{Parallelism: p})
+		got, err := Sweep(context.Background(), db, Options{Parallelism: p})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,7 +79,7 @@ func TestExtractShardDeterminism(t *testing.T) {
 func buildShardStream(t *testing.T, db *graph.DB, seed int64, hops int) ([]*graph.Delta, []shardOutcome) {
 	t.Helper()
 	ctx := context.Background()
-	cur, err := PrepareContext(ctx, db, 1, 1)
+	cur, err := Prepare(ctx, db, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +144,12 @@ func buildShardStream(t *testing.T, db *graph.DB, seed int64, hops int) ([]*grap
 		if d.Len() == 0 {
 			d.AddLink(g.Name(pick()), fmt.Sprintf("shardfill-%d", h), labels[0])
 		}
-		next, _, err := cur.ApplyContext(ctx, d, 1)
+		next, _, err := cur.Apply(ctx, d, 1)
 		if err != nil {
 			t.Fatalf("hop %d: %v", h, err)
 		}
 		cur = next
-		res, err := ExtractPreparedContext(ctx, cur, Options{K: 5, Parallelism: 1})
+		res, err := ExtractPrepared(ctx, cur, Options{K: 5, Parallelism: 1})
 		if err != nil {
 			t.Fatalf("hop %d extract: %v", h, err)
 		}
@@ -176,24 +176,26 @@ func TestApplyStreamShardDeterminism(t *testing.T) {
 
 	ctx := context.Background()
 	for _, cfg := range shardConfigs {
-		cur, err := PrepareContext(ctx, db, cfg.par, cfg.shards)
+		cur, err := Prepare(ctx, db, cfg.par, cfg.shards, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sawFallback, sawMultiShard := false, false
 		for h, d := range deltas {
-			if sh, excl := cur.DeltaShards(d); excl || len(sh) > 1 {
-				sawMultiShard = true
-			}
-			next, info, err := cur.ApplyContext(ctx, d, cfg.par)
+			next, info, err := cur.Apply(ctx, d, cfg.par)
 			if err != nil {
 				t.Fatalf("shards=%d p=%d hop %d: %v", cfg.shards, cfg.par, h, err)
+			}
+			for _, o := range info.Touched {
+				if next.Snapshot().ShardOf(o) != next.Snapshot().ShardOf(info.Touched[0]) {
+					sawMultiShard = true
+				}
 			}
 			if !info.Shared {
 				sawFallback = true
 			}
 			cur = next
-			res, err := ExtractPreparedContext(ctx, cur, Options{K: 5, Parallelism: cfg.par})
+			res, err := ExtractPrepared(ctx, cur, Options{K: 5, Parallelism: cfg.par})
 			if err != nil {
 				t.Fatalf("shards=%d p=%d hop %d extract: %v", cfg.shards, cfg.par, h, err)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -55,19 +56,19 @@ func addRecord(d *graph.Delta, name string, attrs ...string) {
 // Prepared — or across a chain of empty deltas — replays the retained result
 // without running any stage, and the lineage counters record it.
 func TestWarmExtractFastPathAndStats(t *testing.T) {
-	prep, err := Prepare(recordsDB())
+	prep, err := Prepare(context.Background(), recordsDB(), 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Options{K: 2, Parallelism: 1}
-	r1, err := ExtractPrepared(prep, opts)
+	r1, err := ExtractPrepared(context.Background(), prep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Incr.FastPath || r1.Incr.Stage2Warm || r1.Incr.Stage3Warm {
 		t.Fatalf("cold extraction reported incremental flags: %+v", r1.Incr)
 	}
-	r2, err := ExtractPrepared(prep, opts)
+	r2, err := ExtractPrepared(context.Background(), prep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestWarmExtractFastPathAndStats(t *testing.T) {
 
 	// Budgets and parallelism are not part of the result identity: changing
 	// them alone still replays.
-	r3, err := ExtractPrepared(prep, Options{K: 2, Parallelism: 0, MaxDirtyTypesFrac: 0.5})
+	r3, err := ExtractPrepared(context.Background(), prep, Options{K: 2, Parallelism: 0, MaxDirtyTypesFrac: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +88,14 @@ func TestWarmExtractFastPathAndStats(t *testing.T) {
 	}
 
 	// An empty delta touches nothing; the child replays too.
-	child, info, err := prep.Apply(&graph.Delta{})
+	child, info, err := prep.Apply(context.Background(), &graph.Delta{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(info.Touched) != 0 {
 		t.Fatalf("empty delta touched %d objects", len(info.Touched))
 	}
-	r4, err := ExtractPrepared(child, opts)
+	r4, err := ExtractPrepared(context.Background(), child, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestWarmExtractFastPathAndStats(t *testing.T) {
 
 	// A K change misses the retained result but is served by the same
 	// matrix: no fast path, but Stage 2 warm-seeds.
-	r5, err := ExtractPrepared(child, Options{K: 3, Parallelism: 1})
+	r5, err := ExtractPrepared(context.Background(), child, Options{K: 3, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +139,12 @@ func TestWarmExtractFastPathAndStats(t *testing.T) {
 // bit-identical to extracting the mutated graph from scratch, at serial and
 // parallel settings.
 func TestWarmExtractAfterDelta(t *testing.T) {
-	prep, err := Prepare(recordsDB())
+	prep, err := Prepare(context.Background(), recordsDB(), 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Options{K: 2, Parallelism: 1}
-	if _, err := ExtractPrepared(prep, opts); err != nil {
+	if _, err := ExtractPrepared(context.Background(), prep, opts); err != nil {
 		t.Fatal(err)
 	}
 	// A new emp record joins an existing class: exactly one Stage 1 class
@@ -152,7 +153,7 @@ func TestWarmExtractAfterDelta(t *testing.T) {
 	addRecord(d, "empA", "name", "salary", "dept")
 
 	for _, par := range []int{1, 0} {
-		child, info, err := prep.Apply(d)
+		child, info, err := prep.Apply(context.Background(), d, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +162,7 @@ func TestWarmExtractAfterDelta(t *testing.T) {
 		}
 		o := opts
 		o.Parallelism = par
-		warm, err := ExtractPrepared(child, o)
+		warm, err := ExtractPrepared(context.Background(), child, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,19 +207,19 @@ func TestWarmBudgetFallback(t *testing.T) {
 		{"budget covers", 1, true},
 	}
 	for _, c := range cases {
-		prep, err := Prepare(recordsDB())
+		prep, err := Prepare(context.Background(), recordsDB(), 0, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		opts := Options{K: 2, Parallelism: 1, MaxDirtyTypesFrac: c.frac}
-		if _, err := ExtractPrepared(prep, opts); err != nil {
+		if _, err := ExtractPrepared(context.Background(), prep, opts); err != nil {
 			t.Fatal(err)
 		}
-		child, _, err := prep.Apply(d)
+		child, _, err := prep.Apply(context.Background(), d, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := ExtractPrepared(child, opts)
+		warm, err := ExtractPrepared(context.Background(), child, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,18 +261,18 @@ func TestWarmStateOptionKeying(t *testing.T) {
 
 	// Stage 1 options key the matrix: state captured with UseSorts must not
 	// seed a run without it.
-	prep, err := Prepare(recordsDB())
+	prep, err := Prepare(context.Background(), recordsDB(), 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExtractPrepared(prep, Options{K: 2, Parallelism: 1, UseSorts: true}); err != nil {
+	if _, err := ExtractPrepared(context.Background(), prep, Options{K: 2, Parallelism: 1, UseSorts: true}); err != nil {
 		t.Fatal(err)
 	}
-	child, _, err := prep.Apply(d)
+	child, _, err := prep.Apply(context.Background(), d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ExtractPrepared(child, Options{K: 2, Parallelism: 1})
+	res, err := ExtractPrepared(context.Background(), child, Options{K: 2, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,14 +286,14 @@ func TestWarmStateOptionKeying(t *testing.T) {
 	assertSameResult(t, child.DB(), res, cold, "UseSorts mismatch")
 
 	// Same key, same options: the reuse the mismatch above suppressed.
-	if _, err := ExtractPrepared(child, Options{K: 2, Parallelism: 1}); err != nil {
+	if _, err := ExtractPrepared(context.Background(), child, Options{K: 2, Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
-	grand, _, err := child.Apply(d2())
+	grand, _, err := child.Apply(context.Background(), d2(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = ExtractPrepared(grand, Options{K: 2, Parallelism: 1})
+	res, err = ExtractPrepared(context.Background(), grand, Options{K: 2, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,15 +303,15 @@ func TestWarmStateOptionKeying(t *testing.T) {
 
 	// MultiRole reshapes the pre-clustering program: such runs are excluded
 	// from capture and replay entirely.
-	prep2, err := Prepare(recordsDB())
+	prep2, err := Prepare(context.Background(), recordsDB(), 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mr := Options{K: 2, Parallelism: 1, MultiRole: true}
-	if _, err := ExtractPrepared(prep2, mr); err != nil {
+	if _, err := ExtractPrepared(context.Background(), prep2, mr); err != nil {
 		t.Fatal(err)
 	}
-	again, err := ExtractPrepared(prep2, mr)
+	again, err := ExtractPrepared(context.Background(), prep2, mr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,12 +336,12 @@ func d2() *graph.Delta {
 // to a from-scratch extraction of the mutated graph.
 func TestWarmExtractRandomStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(1998))
-	prep, err := Prepare(recordsDB())
+	prep, err := Prepare(context.Background(), recordsDB(), 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Options{K: 2, MaxDirtyTypesFrac: 1}
-	if _, err := ExtractPrepared(prep, opts); err != nil {
+	if _, err := ExtractPrepared(context.Background(), prep, opts); err != nil {
 		t.Fatal(err)
 	}
 	// Optional attributes this stream adds and may later remove; the core
@@ -378,7 +379,7 @@ func TestWarmExtractRandomStream(t *testing.T) {
 				edge{name, name + ".isbn", "isbn"})
 		}
 
-		child, _, err := cur.Apply(d)
+		child, _, err := cur.Apply(context.Background(), d, 0)
 		if err != nil {
 			t.Fatalf("step %d: apply: %v", step, err)
 		}
@@ -387,7 +388,7 @@ func TestWarmExtractRandomStream(t *testing.T) {
 		if step%3 == 2 {
 			o.MaxDirtyTypesFrac = -1 // forced full fallback
 		}
-		warm, err := ExtractPrepared(child, o)
+		warm, err := ExtractPrepared(context.Background(), child, o)
 		if err != nil {
 			t.Fatalf("step %d: warm extract: %v", step, err)
 		}

@@ -3,10 +3,21 @@ package dataguide
 import (
 	"testing"
 
+	"schemex/internal/compile"
 	"schemex/internal/dbg"
 	"schemex/internal/graph"
 	"schemex/internal/perfect"
 )
+
+// snapOf compiles db with the automatic layout on every CPU.
+func snapOf(tb testing.TB, db *graph.DB) *compile.Snapshot {
+	tb.Helper()
+	snap, err := compile.Compile(db, 0, 0, 0, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap
+}
 
 func sampleDB() *graph.DB {
 	db := graph.New()
@@ -88,7 +99,7 @@ func TestCycles(t *testing.T) {
 func TestDataGuideVsTypingOnDBG(t *testing.T) {
 	db, _ := dbg.Generate(dbg.Options{})
 	g := Build(db, nil)
-	res, err := perfect.Minimal(db, perfect.Options{})
+	res, err := perfect.Minimal(snapOf(t, db), perfect.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,27 @@
 package dbg
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"schemex/internal/compile"
 	"schemex/internal/core"
 	"schemex/internal/defect"
+	"schemex/internal/graph"
 	"schemex/internal/perfect"
 	"schemex/internal/typing"
 )
+
+// snapOf compiles db with the automatic layout on every CPU.
+func snapOf(tb testing.TB, db *graph.DB) *compile.Snapshot {
+	tb.Helper()
+	snap, err := compile.Compile(db, 0, 0, 0, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap
+}
 
 func TestSpecIs53Shapes(t *testing.T) {
 	spec := Spec(Options{})
@@ -32,7 +45,7 @@ func TestGenerateDeterministic(t *testing.T) {
 // typing for this dataset consists of 53 different types".
 func TestPerfectTypingHas53Types(t *testing.T) {
 	db, _ := Generate(Options{})
-	res, err := perfect.Minimal(db, perfect.Options{})
+	res, err := perfect.Minimal(snapOf(t, db), perfect.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +103,7 @@ func TestFigure1SixTypeProgram(t *testing.T) {
 // blow-up at 1.
 func TestFigure6SweepShape(t *testing.T) {
 	db, roles := Generate(Options{})
-	sw, err := core.Sweep(db, core.Options{NameFor: roles.NameFor})
+	sw, err := core.Sweep(context.Background(), db, core.Options{NameFor: roles.NameFor})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +142,7 @@ func TestRolesGroundTruthAlignment(t *testing.T) {
 	// Stage 1 classes never mix roles: the class namer sees a single
 	// majority role per class because the shape quotient is role-pure.
 	db, roles := Generate(Options{})
-	res, err := perfect.Minimal(db, perfect.Options{})
+	res, err := perfect.Minimal(snapOf(t, db), perfect.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +159,7 @@ func TestRolesGroundTruthAlignment(t *testing.T) {
 
 func TestScaleInvariantPerfectTypes(t *testing.T) {
 	db, _ := Generate(Options{Scale: 2})
-	res, err := perfect.Minimal(db, perfect.Options{})
+	res, err := perfect.Minimal(snapOf(t, db), perfect.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

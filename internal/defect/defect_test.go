@@ -3,10 +3,31 @@ package defect
 import (
 	"testing"
 
+	"schemex/internal/compile"
 	"schemex/internal/graph"
 	"schemex/internal/perfect"
 	"schemex/internal/typing"
 )
+
+// evalGFP evaluates p's greatest fixpoint over db serially.
+func evalGFP(tb testing.TB, p *typing.Program, db *graph.DB) *typing.Extent {
+	tb.Helper()
+	ext, err := typing.EvalGFP(p, snapOf(tb, db), 1, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ext
+}
+
+// snapOf compiles db with the automatic layout on every CPU.
+func snapOf(tb testing.TB, db *graph.DB) *compile.Snapshot {
+	tb.Helper()
+	snap, err := compile.Compile(db, 0, 0, 0, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap
+}
 
 // example22 builds the database of Figure 3 and the typing program of
 // Example 2.2:
@@ -161,7 +182,7 @@ func TestGFPExtentHasZeroDeficit(t *testing.T) {
 	// definition by construction, so the deficit of the corresponding
 	// assignment is zero.
 	db, p := example22()
-	e := typing.EvalGFP(p, db)
+	e := evalGFP(t, p, db)
 	a := typing.FromExtent(e)
 	if d := Deficit(a); d != 0 {
 		t.Fatalf("GFP assignment deficit = %d, want 0", d)
@@ -170,7 +191,7 @@ func TestGFPExtentHasZeroDeficit(t *testing.T) {
 
 func TestPerfectTypingZeroDefectEndToEnd(t *testing.T) {
 	db, _ := example22()
-	res, err := perfect.Minimal(db, perfect.Options{})
+	res, err := perfect.Minimal(snapOf(t, db), perfect.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"schemex/internal/compile"
 	"schemex/internal/graph"
 	"schemex/internal/perfect"
 	"schemex/internal/typing"
@@ -32,7 +33,11 @@ func randomScenario(rng *rand.Rand) (*graph.DB, *typing.Assignment) {
 		db.Atom(atom, atom)
 		db.Link(names[rng.Intn(n)], atom, labels[rng.Intn(len(labels))])
 	}
-	res, err := perfect.Minimal(db, perfect.Options{})
+	snap, err := compile.Compile(db, 0, 0, 0, nil)
+	if err != nil {
+		panic(err)
+	}
+	res, err := perfect.Minimal(snap, perfect.Options{}, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -70,7 +75,7 @@ func TestDefectProperties(t *testing.T) {
 		}
 		// The GFP of the same program is deficit-free (§2: greatest fixpoint
 		// semantics may lead to excess but cannot yield deficit).
-		gfp := typing.FromExtent(typing.EvalGFP(a.Program, db))
+		gfp := typing.FromExtent(evalGFP(t, a.Program, db))
 		if d := Deficit(gfp); d != 0 {
 			t.Fatalf("trial %d: GFP assignment has deficit %d", trial, d)
 		}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"schemex/internal/cluster"
+	"schemex/internal/compile"
 	"schemex/internal/core"
 	"schemex/internal/dbg"
 	"schemex/internal/graph"
@@ -85,6 +86,7 @@ type BenchReport struct {
 // Parallelism 1 and NumCPU, pairing each with its seed baseline. It backs
 // `experiments -bench-json`.
 func RunBench() (*BenchReport, error) {
+	ctx := context.Background()
 	rep := &BenchReport{
 		CPU:        runtime.GOOS + "/" + runtime.GOARCH,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
@@ -100,11 +102,19 @@ func RunBench() (*BenchReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	stage1DBG, err := perfect.Minimal(dbgX1, perfect.Options{NameFor: roles.NameFor})
+	snapX1, err := compile.Compile(dbgX1, 0, 0, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	stage1DB7, err := perfect.Minimal(db7, perfect.Options{})
+	stage1DBG, err := perfect.Minimal(snapX1, perfect.Options{NameFor: roles.NameFor}, nil)
+	if err != nil {
+		return nil, err
+	}
+	snap7, err := compile.Compile(db7, 0, 0, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	stage1DB7, err := perfect.Minimal(snap7, perfect.Options{}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -134,14 +144,18 @@ func RunBench() (*BenchReport, error) {
 
 	measure("stage1/gfp-classes/dbg-x2", func(workers int, b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := perfect.Minimal(dbgX2, perfect.Options{Parallelism: workers}); err != nil {
+			snap, err := compile.Compile(dbgX2, 0, workers, 0, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := perfect.Minimal(snap, perfect.Options{Parallelism: workers}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	measure("stage2/greedy-recast/dbg", func(workers int, b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			g := cluster.NewGreedy(stage1DBG.Program.Clone(), cluster.Config{Parallelism: workers})
+			g := cluster.NewGreedy(stage1DBG.Program.Clone(), nil, cluster.Config{Parallelism: workers}, nil)
 			g.RunTo(6)
 			prog, mapping := g.Program()
 			homes := make(map[graph.ObjectID][]int, len(stage1DBG.Home))
@@ -152,12 +166,18 @@ func RunBench() (*BenchReport, error) {
 			}
 			rc := recast.DefaultOptions()
 			rc.Parallelism = workers
-			recast.Recast(dbgX1, prog, homes, rc)
+			snap, err := compile.Compile(dbgX1, 0, workers, 0, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := recast.Recast(snap, prog, homes, rc, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	measure("stage2/greedy-only/db7", func(workers int, b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			g := cluster.NewGreedy(stage1DB7.Program.Clone(), cluster.Config{Parallelism: workers})
+			g := cluster.NewGreedy(stage1DB7.Program.Clone(), nil, cluster.Config{Parallelism: workers}, nil)
 			g.RunTo(p7.Intended())
 		}
 	})
@@ -165,7 +185,13 @@ func RunBench() (*BenchReport, error) {
 		rc := recast.DefaultOptions()
 		rc.Parallelism = workers
 		for i := 0; i < b.N; i++ {
-			recast.Recast(dbgX2, res6.Program, res6.Homes, rc)
+			snap, err := compile.Compile(dbgX2, 0, workers, 0, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := recast.Recast(snap, res6.Program, res6.Homes, rc, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	// Warm-vs-cold serving: Prepare once then ExtractPrepared per request,
@@ -186,13 +212,13 @@ func RunBench() (*BenchReport, error) {
 				}
 			}
 		})
-		prep, err := core.Prepare(db)
+		prep, err := core.Prepare(ctx, db, 0, 0, 0)
 		if err != nil {
 			return nil, err
 		}
 		warm := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.ExtractPrepared(prep, opts); err != nil {
+				if _, err := core.ExtractPrepared(ctx, prep, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -219,7 +245,7 @@ func RunBench() (*BenchReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		prep, err := core.Prepare(db)
+		prep, err := core.Prepare(ctx, db, 0, 0, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -237,14 +263,14 @@ func RunBench() (*BenchReport, error) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := core.Prepare(child); err != nil {
+					if _, err := core.Prepare(ctx, child, 0, 0, 0); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 			warm := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, _, err := prep.Apply(d); err != nil {
+					if _, _, err := prep.Apply(ctx, d, 0); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -273,11 +299,11 @@ func RunBench() (*BenchReport, error) {
 			return nil, err
 		}
 		opts := core.Options{K: p.Intended()}
-		prep, err := core.Prepare(db)
+		prep, err := core.Prepare(ctx, db, 0, 0, 0)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := core.ExtractPrepared(prep, opts); err != nil {
+		if _, err := core.ExtractPrepared(ctx, prep, opts); err != nil {
 			return nil, err
 		}
 		for _, size := range []struct {
@@ -294,31 +320,31 @@ func RunBench() (*BenchReport, error) {
 			}
 			cold := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					cp, err := core.Prepare(childDB)
+					cp, err := core.Prepare(ctx, childDB, 0, 0, 0)
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := core.ExtractPrepared(cp, opts); err != nil {
+					if _, err := core.ExtractPrepared(ctx, cp, opts); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 			warm := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					child, _, err := prep.Apply(d)
+					child, _, err := prep.Apply(ctx, d, 0)
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := core.ExtractPrepared(child, opts); err != nil {
+					if _, err := core.ExtractPrepared(ctx, child, opts); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
-			child, _, err := prep.Apply(d)
+			child, _, err := prep.Apply(ctx, d, 0)
 			if err != nil {
 				return nil, err
 			}
-			inst, err := core.ExtractPrepared(child, opts)
+			inst, err := core.ExtractPrepared(ctx, child, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -354,14 +380,14 @@ func RunBench() (*BenchReport, error) {
 			name   string
 			shards int
 		}{{"s1", 1}, {"s4", 4}, {"auto", 0}} {
-			prep, err := core.PrepareContext(context.Background(), dbgX16, 0, sc.shards)
+			prep, err := core.Prepare(ctx, dbgX16, 0, sc.shards, 0)
 			if err != nil {
 				return nil, err
 			}
 			if oneShard != nil {
 				measure(fmt.Sprintf("shards/apply-1shard-%s/dbg-x16", sc.name), func(workers int, b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						if _, _, err := prep.ApplyContext(context.Background(), oneShard, workers); err != nil {
+						if _, _, err := prep.Apply(ctx, oneShard, workers); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -369,18 +395,18 @@ func RunBench() (*BenchReport, error) {
 			}
 			if realDelta != nil {
 				opts := core.Options{K: 6}
-				if _, err := core.ExtractPrepared(prep, opts); err != nil {
+				if _, err := core.ExtractPrepared(ctx, prep, opts); err != nil {
 					return nil, err
 				}
 				measure(fmt.Sprintf("shards/warm-extract-%s/dbg-x16", sc.name), func(workers int, b *testing.B) {
 					o := opts
 					o.Parallelism = workers
 					for i := 0; i < b.N; i++ {
-						child, _, err := prep.ApplyContext(context.Background(), realDelta, workers)
+						child, _, err := prep.Apply(ctx, realDelta, workers)
 						if err != nil {
 							b.Fatal(err)
 						}
-						if _, err := core.ExtractPrepared(child, o); err != nil {
+						if _, err := core.ExtractPrepared(ctx, child, o); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -397,7 +423,7 @@ func RunBench() (*BenchReport, error) {
 	{
 		dbgX16, _ := dbg.Generate(dbg.Options{Scale: 16})
 		realDelta := benchDelta(dbgX16, 0)
-		probe, err := core.PrepareContext(context.Background(), dbgX16, 0, 0)
+		probe, err := core.Prepare(ctx, dbgX16, 0, 0, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -412,7 +438,7 @@ func RunBench() (*BenchReport, error) {
 			name      string
 			memBudget int64
 		}{{"resident", 0}, {"2shard", budget}} {
-			prep, err := core.PrepareBudget(context.Background(), dbgX16, 0, 0, bc.memBudget)
+			prep, err := core.Prepare(ctx, dbgX16, 0, 0, bc.memBudget)
 			if err != nil {
 				return nil, err
 			}
@@ -420,18 +446,18 @@ func RunBench() (*BenchReport, error) {
 				break
 			}
 			opts := core.Options{K: 6, MemBudget: bc.memBudget}
-			if _, err := core.ExtractPrepared(prep, opts); err != nil {
+			if _, err := core.ExtractPrepared(ctx, prep, opts); err != nil {
 				return nil, err
 			}
 			measure(fmt.Sprintf("outofcore/warm-extract-%s/dbg-x16", bc.name), func(workers int, b *testing.B) {
 				o := opts
 				o.Parallelism = workers
 				for i := 0; i < b.N; i++ {
-					child, _, err := prep.ApplyContext(context.Background(), realDelta, workers)
+					child, _, err := prep.Apply(ctx, realDelta, workers)
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := core.ExtractPrepared(child, o); err != nil {
+					if _, err := core.ExtractPrepared(ctx, child, o); err != nil {
 						b.Fatal(err)
 					}
 				}

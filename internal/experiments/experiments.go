@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -175,7 +176,7 @@ func RenameByMajorityRole(res *core.Result, roles dbg.Roles) {
 // Figure6 runs the DBG sensitivity sweep.
 func Figure6() (*core.SweepResult, error) {
 	db, roles := dbg.Generate(dbg.Options{})
-	return core.Sweep(db, core.Options{NameFor: roles.NameFor})
+	return core.Sweep(context.Background(), db, core.Options{NameFor: roles.NameFor})
 }
 
 // WriteFigure6 renders the sweep in increasing-K order with the suggested

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"schemex/internal/core"
@@ -18,11 +19,11 @@ func benchWarmExtract(b *testing.B, frac float64) {
 		b.Fatal(err)
 	}
 	opts := core.Options{K: p.Intended()}
-	prep, err := core.Prepare(db)
+	prep, err := core.Prepare(context.Background(), db, 0, 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := core.ExtractPrepared(prep, opts); err != nil {
+	if _, err := core.ExtractPrepared(context.Background(), prep, opts); err != nil {
 		b.Fatal(err)
 	}
 	d := benchDelta(db, frac)
@@ -31,11 +32,11 @@ func benchWarmExtract(b *testing.B, frac float64) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		child, _, err := prep.Apply(d)
+		child, _, err := prep.Apply(context.Background(), d, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := core.ExtractPrepared(child, opts)
+		res, err := core.ExtractPrepared(context.Background(), child, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -71,39 +71,6 @@ func (d *Delta) RemoveObject(name string) *Delta {
 // Len reports the number of recorded operations.
 func (d *Delta) Len() int { return len(d.ops) }
 
-// ForEachName calls f with every object name the delta references, in op
-// order (link ops yield both endpoints; duplicates are not suppressed).
-// This is the delta's object footprint: resolved against a database, it
-// bounds which objects — and so which snapshot shards — an application can
-// touch, which is what lets a serving layer admit mutations under
-// per-shard locks. Note RemoveObject touches the named object's neighbours
-// too; those are link endpoints of *existing* links, so footprint users
-// must widen removals with the database's adjacency (via
-// ForEachRemovedObject) or treat any unresolvable name as "anywhere".
-func (d *Delta) ForEachName(f func(name string)) {
-	for _, op := range d.ops {
-		switch op.kind {
-		case opAddLink, opRemoveLink:
-			f(op.from)
-			f(op.to)
-		default:
-			f(op.name)
-		}
-	}
-}
-
-// ForEachRemovedObject calls f with the name of every RemoveObject op, in
-// op order. Footprint computations widen these with the target database's
-// adjacency, because detaching an object also rewrites its neighbours'
-// edge lists.
-func (d *Delta) ForEachRemovedObject(f func(name string)) {
-	for _, op := range d.ops {
-		if op.kind == opRemoveObject {
-			f(op.name)
-		}
-	}
-}
-
 // String renders the delta in the line format understood by ParseDelta.
 func (d *Delta) String() string {
 	var sb strings.Builder

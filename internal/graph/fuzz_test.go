@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -79,6 +80,9 @@ func FuzzReadText(f *testing.F) {
 		if back.NumLinks() != db.NumLinks() || back.NumObjects() != db.NumObjects() {
 			t.Fatalf("round trip changed counts")
 		}
+		if o, ok := sameIDs(db, back); !ok {
+			t.Fatalf("round trip renumbered object %d", o)
+		}
 	})
 }
 
@@ -106,6 +110,36 @@ func FuzzFromJSON(f *testing.F) {
 		}
 		if verr := db.Validate(); verr != nil {
 			t.Fatalf("json-loaded db invalid: %v (input %q)", verr, src)
+		}
+	})
+}
+
+// FuzzParseDelta checks the delta parser behind HTTP mutate bodies: it never
+// panics on arbitrary text, and any delta it accepts round-trips — rendering
+// it with String and parsing that again yields the same operations.
+func FuzzParseDelta(f *testing.F) {
+	seeds := []string{
+		"link a b l\nunlink a b l\natomic x int 42\nremove a\n",
+		"# comment\nlink \"a b\" \"c\\\"d\" \"l l\"\n",
+		"atomic v string \"\"\natomic w bool true\n",
+		"remove\nlink a b\nfrob x\n",
+		"link a b \"unterminated\n",
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		d, err := ParseDeltaString(src)
+		if err != nil {
+			return
+		}
+		text := d.String()
+		back, err := ParseDeltaString(text)
+		if err != nil {
+			t.Fatalf("re-parsing %q: %v", text, err)
+		}
+		if !reflect.DeepEqual(back.ops, d.ops) {
+			t.Fatalf("round trip changed the delta:\n%q\n%q", text, back.String())
 		}
 	})
 }

@@ -17,20 +17,18 @@ import (
 //	atomic <obj> <sort> <value>
 //
 // Fields are quoted with Go string-literal syntax when they contain spaces.
-// Objects mentioned only in link lines are complex; "obj" records exist so
-// isolated complex objects survive. The format round-trips through
-// Write/Read.
+// Objects mentioned only in link lines are complex. Read interns objects in
+// order of first mention, so Write opens with one "obj" record per object in
+// ID order: Read(Write(db)) keeps every ObjectID, which spilled snapshots
+// keyed by ID rely on, and isolated complex objects survive.
 
 // Write serializes db in the text format. Output is deterministic: objects
 // in ID order, edges in (Label, To) order.
 func (db *DB) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for id := range db.names {
-		o := ObjectID(id)
-		if len(db.out[o]) == 0 && len(db.in[o]) == 0 && !db.IsAtomic(o) {
-			if _, err := fmt.Fprintf(bw, "obj %s\n", quoteField(db.Name(o))); err != nil {
-				return err
-			}
+		if _, err := fmt.Fprintf(bw, "obj %s\n", quoteField(db.Name(ObjectID(id)))); err != nil {
+			return err
 		}
 	}
 	var err error

@@ -21,6 +21,9 @@ func TestWriteReadRoundtrip(t *testing.T) {
 	if !sameDB(db, back) {
 		t.Fatal("roundtrip changed the database")
 	}
+	if o, ok := sameIDs(db, back); !ok {
+		t.Fatalf("roundtrip renumbered object %d (%q)", o, db.Name(o))
+	}
 }
 
 func TestRoundtripQuoting(t *testing.T) {
@@ -146,6 +149,20 @@ func randomTestDB(rng *rand.Rand, nComplex, nEdges int) *DB {
 }
 
 // sameDB compares two databases by fact content (names, links, atomics).
+// sameIDs reports whether every ObjectID names the same object in a and b,
+// returning the first ID that does not.
+func sameIDs(a, b *DB) (ObjectID, bool) {
+	if a.NumObjects() != b.NumObjects() {
+		return NoObject, false
+	}
+	for id := 0; id < a.NumObjects(); id++ {
+		if o := ObjectID(id); a.Name(o) != b.Name(o) {
+			return o, false
+		}
+	}
+	return NoObject, true
+}
+
 func sameDB(a, b *DB) bool {
 	if a.NumObjects() != b.NumObjects() || a.NumLinks() != b.NumLinks() || a.NumAtomic() != b.NumAtomic() {
 		return false

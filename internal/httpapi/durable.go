@@ -85,46 +85,20 @@ func (a *api) makeDurable(s *session) error {
 	return nil
 }
 
-// persistLocked logs one just-applied delta and, every spillEvery deltas or
-// once the log passes spillBytes (when set), spills a fresh snapshot
-// generation. The caller holds s.mu and has not yet
-// advanced s.prep; a nil return means the delta is durable per the sync
-// policy and the session may advance. In-memory sessions (nil log) return
-// immediately without allocating — the DataDir-unset mutate path is
-// unchanged, which an allocation-regression test pins.
-func (s *session) persistLocked(a *api, d *schemex.Delta, next *schemex.Prepared) error {
-	if s.log == nil {
-		return nil
-	}
-	if _, err := s.log.Append(wal.KindDelta, []byte(d.String())); err != nil {
-		return err
-	}
-	s.sinceSpill++
-	if s.sinceSpill >= a.spillEvery || (a.spillBytes > 0 && s.log.Size() >= a.spillBytes) {
-		if err := s.spillTo(next, a.pol); err != nil {
-			// The delta is already durable in the current log; a failed
-			// spill only delays compaction. Keep serving, retry after
-			// another spillEvery deltas.
-			log.Printf("httpapi: session %s: snapshot spill failed (will retry): %v", s.id, err)
-			s.sinceSpill = 0
-		}
-	}
-	return nil
-}
-
-// persistBatchLocked logs a just-applied batch of deltas as len(ds)
-// individual records with one write and one fsync (wal.AppendAll), keeping
-// the log replay-identical to sequential application — recovery replays one
+// persistLocked logs a just-applied batch of deltas as len(ds) individual
+// records with one write and one fsync (wal.AppendAll), keeping the log
+// replay-identical to sequential application — recovery replays one
 // ApplyContext per record, reproducing the same per-delta version advance the
-// batch took in one step. Spill thresholds account for all len(ds) records.
-// The caller holds s.mu and has not yet advanced s.prep; a nil return means
-// the whole batch is durable per the sync policy.
-func (s *session) persistBatchLocked(a *api, ds []*schemex.Delta, next *schemex.Prepared) error {
+// batch took in one step. Every spillEvery records, or once the log passes
+// spillBytes (when set), it spills a fresh snapshot generation. The caller
+// holds s.mu and has not yet advanced s.prep; a nil return means the whole
+// batch is durable per the sync policy and the session may advance.
+// In-memory sessions (nil log) return immediately without allocating — the
+// DataDir-unset mutate path is unchanged, which an allocation-regression test
+// pins.
+func (s *session) persistLocked(a *api, ds []*schemex.Delta, next *schemex.Prepared) error {
 	if s.log == nil {
 		return nil
-	}
-	if len(ds) == 1 {
-		return s.persistLocked(a, ds[0], next)
 	}
 	payloads := make([][]byte, len(ds))
 	for i, d := range ds {
@@ -136,6 +110,9 @@ func (s *session) persistBatchLocked(a *api, ds []*schemex.Delta, next *schemex.
 	s.sinceSpill += len(ds)
 	if s.sinceSpill >= a.spillEvery || (a.spillBytes > 0 && s.log.Size() >= a.spillBytes) {
 		if err := s.spillTo(next, a.pol); err != nil {
+			// The batch is already durable in the current log; a failed
+			// spill only delays compaction. Keep serving, retry after
+			// another spillEvery deltas.
 			log.Printf("httpapi: session %s: snapshot spill failed (will retry): %v", s.id, err)
 			s.sinceSpill = 0
 		}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"schemex"
+	"schemex/internal/dbg"
 	"schemex/internal/wal"
 )
 
@@ -56,6 +57,44 @@ func extractSchema(t *testing.T, ts *httptest.Server, id string) string {
 // nthDelta yields a small always-incremental delta distinct per i.
 func nthDelta(i int) string {
 	return fmt.Sprintf("link p%d f%d is-manager-of\nlink f%d p%d is-managed-by\n", i, i, i, i)
+}
+
+// TestDurableRestartServesSameSchema: a restarted durable session serves the
+// extraction it served before the restart. The compiled spill is keyed by
+// ObjectID, so the graph text persisted beside it must re-read with every ID
+// in place; on this DBG graph nearly every ID moved when the text named only
+// isolated objects, and the recovered session answered with another schema.
+func TestDurableRestartServesSameSchema(t *testing.T) {
+	db, _ := dbg.Generate(dbg.Options{Seed: 11, Scale: 1})
+	var text strings.Builder
+	if err := db.Write(&text); err != nil {
+		t.Fatal(err)
+	}
+	extract := func(ts *httptest.Server, id string) (string, float64) {
+		t.Helper()
+		status, out := post(t, ts, "/v1/session/"+id+"/extract", mustJSON(t, map[string]interface{}{
+			"options": map[string]interface{}{"k": 6},
+		}))
+		if status != 200 {
+			t.Fatalf("extract status %d: %v", status, out)
+		}
+		return out["schema"].(string), out["defect"].(float64)
+	}
+	dir := t.TempDir()
+	s1, ts1 := durableServer(t, Config{DataDir: dir})
+	id := createSession(t, ts1, text.String())
+	wantSchema, wantDefect := extract(ts1, id)
+	ts1.Close()
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := durableServer(t, Config{DataDir: dir})
+	gotSchema, gotDefect := extract(ts2, id)
+	if gotDefect != wantDefect || gotSchema != wantSchema {
+		t.Fatalf("restart changed the extraction: defect %v -> %v\nbefore:\n%s\nafter:\n%s",
+			wantDefect, gotDefect, wantSchema, gotSchema)
+	}
 }
 
 func TestDurableRestartRecovery(t *testing.T) {
@@ -450,7 +489,7 @@ func TestRehydrateWaitsForEvictionFlush(t *testing.T) {
 		s1.mu.Unlock()
 		t.Fatal(err)
 	}
-	if err := s1.persistLocked(srv.a, d, next); err != nil {
+	if err := s1.persistLocked(srv.a, []*schemex.Delta{d}, next); err != nil {
 		s1.mu.Unlock()
 		t.Fatalf("append on in-flight session: %v", err)
 	}
@@ -615,9 +654,9 @@ func TestInMemoryMutateNoExtraAllocations(t *testing.T) {
 	}
 	s := &session{id: "0123456789abcdef0123456789abcdef", prep: prep}
 	a := newAPI(Config{})
-	d := schemex.NewDelta().Link("x", "y", "l")
+	ds := []*schemex.Delta{schemex.NewDelta().Link("x", "y", "l")}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := s.persistLocked(a, d, prep); err != nil {
+		if err := s.persistLocked(a, ds, prep); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {

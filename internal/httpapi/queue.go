@@ -1,17 +1,19 @@
 // Batched write pipeline: every session mutation is enqueued on a per-session
 // mutation queue and applied by that session's single drainer goroutine,
-// which drains bursts as one batch — one coalesced compile.Apply over the
-// union shard footprint, one WAL group append (one fsync under the sync
-// policy), one head swap — completing all covered jobs at once. Requests pick
-// ?mode=sync (default: respond after the batch commits, durability before
-// acknowledgment unchanged) or ?mode=async (202 + job id immediately;
-// GET /v1/session/{id}/job/{jobID} reports queued/applied/failed). A full
-// queue sheds load with 429 + Retry-After.
+// which drains bursts as one batch — one coalesced compile.Apply, one WAL
+// group append (one fsync under the sync policy), one head swap — completing
+// all covered jobs at once. Requests pick ?mode=sync (default: respond after
+// the batch commits, durability before acknowledgment unchanged) or
+// ?mode=async (202 + job id immediately; GET /v1/session/{id}/job/{jobID}
+// reports queued/applied/failed). A full queue sheds load with 429 +
+// Retry-After.
 //
-// Lock order: a.queuesMu > q.mu for enqueue; the drainer takes q.mu alone and
-// then the session's stripe locks and s.mu exactly as the old per-request
-// path did (stripes ascending, s.mu innermost), so batching changes how often
-// the stripes are taken — once per batch — not their order.
+// Single writer: a.queues is keyed by session id and enqueue starts a
+// drainer only when none is active, so each session has exactly one drainer,
+// and applySessionBatch — run only by that drainer — is the only code that
+// advances a session's head. Lock order: a.queuesMu > q.mu for enqueue; the
+// drainer takes q.mu alone, then s.mu only around the head read and the
+// persist-and-swap.
 package httpapi
 
 import (
@@ -211,15 +213,15 @@ func (q *mutQueue) finish(j *job, resp *mutateResponse, status int, err error) {
 	close(j.done)
 }
 
-// applySessionBatch runs the optimistic shard-locked apply for one batch of
-// deltas against the session — the same loop the per-request path used, with
-// the batch's union footprint deciding the stripes, one ApplyBatch doing the
-// compile, and one group append making all N deltas durable before the head
-// advances. On error nothing is committed and the caller decides between
-// failing the job and per-job fallback.
+// applySessionBatch applies one batch of deltas to the session: one
+// ApplyBatch compiles the whole batch outside the session mutex, then one
+// group append makes all N deltas durable before the head advances. The
+// caller is the session's drainer, the only writer of s.prep, so the head
+// read before the apply is still the head at the swap; the one event that
+// can intervene is an LRU eviction, after which the batch is retried on the
+// rehydrated copy. On error nothing is committed and the caller decides
+// between failing the job and per-job fallback.
 func (a *api) applySessionBatch(id string, deltas []*schemex.Delta) (*mutateResponse, int, error) {
-	ctx := context.Background()
-	merged := schemex.MergeDeltas(deltas...)
 	s, ok := a.sessions.get(id)
 	if !ok && a.dataDir != "" {
 		s, ok = a.rehydrate(id)
@@ -227,7 +229,7 @@ func (a *api) applySessionBatch(id string, deltas []*schemex.Delta) (*mutateResp
 	if !ok {
 		return nil, http.StatusNotFound, errUnknownSession(id)
 	}
-	for attempt := 0; ; attempt++ {
+	for {
 		s.mu.Lock()
 		for s.evicted {
 			// Flushed by the LRU (or deleted) since we resolved it. Durable
@@ -245,43 +247,15 @@ func (a *api) applySessionBatch(id string, deltas []*schemex.Delta) (*mutateResp
 		cur := s.prep
 		s.mu.Unlock()
 
-		shards, exclusive := cur.DeltaShards(merged)
-		exclusive = exclusive || attempt >= 2
-		mask := stripeMask(shards, exclusive)
-		unlock := s.locks.lock(mask)
-
-		// Revalidate under the session mutex; rebase onto a moved head only
-		// if the new footprint stays inside the stripes already held.
-		s.mu.Lock()
-		if s.evicted {
-			s.mu.Unlock()
-			unlock()
-			continue
-		}
-		if s.prep != cur {
-			cur = s.prep
-			sh2, ex2 := cur.DeltaShards(merged)
-			if m2 := stripeMask(sh2, ex2 || exclusive); m2&^mask != 0 {
-				s.mu.Unlock()
-				unlock()
-				continue
-			}
-		}
-		s.mu.Unlock()
-
-		// The expensive part, outside the session mutex: one incremental
-		// apply for the whole (coalesced) batch.
-		next, info, err := cur.ApplyBatchContext(ctx, deltas...)
+		next, info, err := cur.ApplyBatchContext(context.Background(), deltas...)
 		if err != nil {
 			// Nothing committed: a bad delta rejects the batch atomically.
-			unlock()
 			return nil, http.StatusUnprocessableEntity, err
 		}
 
 		s.mu.Lock()
-		if s.evicted || s.prep != cur {
+		if s.evicted {
 			s.mu.Unlock()
-			unlock()
 			continue
 		}
 		// Durability before acknowledgment, batch-wide: all N delta records
@@ -289,14 +263,12 @@ func (a *api) applySessionBatch(id string, deltas []*schemex.Delta) (*mutateResp
 		// the session advances and any covered job is acknowledged. A failed
 		// append leaves the session on its old state with every job
 		// unacknowledged.
-		if err := s.persistBatchLocked(a, deltas, next); err != nil {
+		if err := s.persistLocked(a, deltas, next); err != nil {
 			s.mu.Unlock()
-			unlock()
 			return nil, http.StatusInternalServerError, fmt.Errorf("logging delta batch: %v", err)
 		}
 		s.prep = next
 		s.mu.Unlock()
-		unlock()
 
 		if info.Incremental {
 			metricApplyIncremental.Add(1)

@@ -310,9 +310,9 @@ func TestServerCloseDrainsQueuedJobs(t *testing.T) {
 }
 
 // TestQueueStress hammers one session from many async producers; CI also runs
-// it under -race with SCHEMEX_TEST_SHARDS=4 to cross the batch path with the
-// sharded stripe locks. Every job must terminate applied and the version must
-// account for every producer's every delta.
+// it under -race with SCHEMEX_TEST_SHARDS=4 to cross the batch path with
+// multi-shard snapshots. Every job must terminate applied and the version
+// must account for every producer's every delta.
 func TestQueueStress(t *testing.T) {
 	a := newAPI(Config{BatchWindow: 10 * time.Millisecond})
 	srv := httptest.NewServer(a.routes())

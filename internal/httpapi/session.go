@@ -18,20 +18,15 @@ import (
 	"schemex/internal/wal"
 )
 
-// session is one server-side delta session. mu serializes mutations — Apply
-// itself is non-destructive, but two concurrent mutates must not both branch
-// from the same parent and silently drop one of the edits.
+// session is one server-side delta session. Its queue's single drainer is
+// the only writer of prep (see queue.go), so two mutations never branch from
+// the same parent; mu guards prep and the durable state against concurrent
+// readers, eviction and DELETE.
 type session struct {
 	id string
 
 	mu   sync.Mutex
 	prep *schemex.Prepared
-
-	// locks admits concurrent mutations whose delta footprints land on
-	// disjoint snapshot shards (see shardlock.go). mu still serializes the
-	// head swap and the WAL append; the stripes only bound how much Apply
-	// work can run in parallel against one session.
-	locks shardLocks
 
 	// Durable state; zero for in-memory sessions (Config.DataDir unset).
 	// dir is the session directory, log the open write-ahead log, snapFile/

@@ -28,9 +28,9 @@ func chainData(n int) string {
 }
 
 // TestSessionConcurrentShardedMutate hammers one multi-shard session with
-// concurrent mutations whose footprints land on different shards. Every
-// delta must be applied exactly once — losers of the head-swap race rebase,
-// they do not drop edits — so the final version and link count are exact.
+// concurrent mutations that land on different shards. Every delta must be
+// applied exactly once — the session's single drainer serializes them, it
+// never drops an edit — so the final version and link count are exact.
 func TestSessionConcurrentShardedMutate(t *testing.T) {
 	t.Setenv(compile.TestShardsEnv, "4")
 	srv := httptest.NewServer(Handler())
@@ -97,8 +97,8 @@ func TestSessionConcurrentShardedMutate(t *testing.T) {
 		t.Errorf("shards = %v, want 4 (%s not honored)", sh, compile.TestShardsEnv)
 	}
 
-	// The mutated session still extracts: per-shard locking never leaves a
-	// half-applied snapshot visible.
+	// The mutated session still extracts: concurrent mutation never leaves
+	// a half-applied snapshot visible.
 	status, out = post(t, srv, "/v1/session/"+id+"/extract", mustJSON(t, map[string]interface{}{
 		"options": map[string]interface{}{"k": 1},
 	}))

@@ -3,6 +3,12 @@
 // goroutines. Callers keep per-shard writes disjoint and fold shard results
 // with index tie-breaks, so every pipeline result is bit-identical to a
 // serial run at any worker count.
+//
+// Failure containment: every helper recovers a panic inside each worker,
+// joins all workers, and re-raises the panic from the smallest index on the
+// calling goroutine — so a caller's deferred recover sees a worker panic
+// exactly as it would on the serial path, and no panic escapes on a
+// goroutine nobody can recover.
 package par
 
 import (
@@ -25,30 +31,16 @@ func Workers(p int) int {
 // goroutine or allocation. Use for loops whose per-index cost is roughly
 // uniform.
 func Do(workers, n int, fn func(lo, hi int)) {
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	if Workers(workers) <= 1 || n <= 1 {
 		if n > 0 {
 			fn(0, n)
 		}
 		return
 	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	_ = DoErr(workers, n, func(lo, hi int) error {
+		fn(lo, hi)
+		return nil
+	})
 }
 
 // DoItems runs fn(i) for every i in [0, n), handing indexes to workers
@@ -56,48 +48,56 @@ func Do(workers, n int, fn func(lo, hi int)) {
 // cost (e.g. triangular distance-matrix rows, where early rows hold more
 // pairs than late ones). With one worker it runs inline in index order.
 func DoItems(workers, n int, fn func(i int)) {
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	if Workers(workers) <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	_ = DoItemsErr(workers, n, func(i int) error {
+		fn(i)
+		return nil
+	})
 }
 
-// errCollector folds worker errors deterministically: the error produced at
+// failures folds worker outcomes deterministically: the error or panic at
 // the smallest index wins, no matter which worker reports first.
-type errCollector struct {
-	mu  sync.Mutex
-	idx int
-	err error
+type failures struct {
+	mu       sync.Mutex
+	set      bool
+	idx      int
+	err      error
+	panicked bool
+	val      any
 }
 
-func (c *errCollector) report(i int, err error) {
-	c.mu.Lock()
-	if c.err == nil || i < c.idx {
-		c.idx, c.err = i, err
+func (f *failures) record(i int, err error, panicked bool, val any) {
+	f.mu.Lock()
+	if !f.set || i < f.idx {
+		f.set, f.idx, f.err, f.panicked, f.val = true, i, err, panicked, val
 	}
-	c.mu.Unlock()
+	f.mu.Unlock()
+}
+
+// catch is deferred by every worker: it records a panic raised while the
+// worker was at index *i. stop, when non-nil, keeps the other workers from
+// claiming fresh indexes.
+func (f *failures) catch(i *int, stop *atomic.Bool) {
+	if r := recover(); r != nil {
+		f.record(*i, nil, true, r)
+		if stop != nil {
+			stop.Store(true)
+		}
+	}
+}
+
+// result re-raises the winning panic on the caller's goroutine, or returns
+// the winning error. Call it only after every worker has been joined.
+func (f *failures) result() error {
+	if f.panicked {
+		panic(f.val)
+	}
+	return f.err
 }
 
 // DoErr is Do with error propagation: chunks run concurrently, and the first
@@ -118,7 +118,7 @@ func DoErr(workers, n int, fn func(lo, hi int) error) error {
 		return nil
 	}
 	chunk := (n + workers - 1) / workers
-	var col errCollector
+	var col failures
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
@@ -128,13 +128,14 @@ func DoErr(workers, n int, fn func(lo, hi int) error) error {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
+			defer col.catch(&lo, nil)
 			if err := fn(lo, hi); err != nil {
-				col.report(lo, err)
+				col.record(lo, err, false, nil)
 			}
 		}(lo, hi)
 	}
 	wg.Wait()
-	return col.err
+	return col.result()
 }
 
 // DoItemsErr is DoItems with error propagation and early stop: once any item
@@ -157,19 +158,21 @@ func DoItemsErr(workers, n int, fn func(i int) error) error {
 	}
 	var next atomic.Int64
 	var stop atomic.Bool
-	var col errCollector
+	var col failures
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			i := -1
+			defer col.catch(&i, &stop)
 			for !stop.Load() {
-				i := int(next.Add(1)) - 1
+				i = int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
 				if err := fn(i); err != nil {
-					col.report(i, err)
+					col.record(i, err, false, nil)
 					stop.Store(true)
 					return
 				}
@@ -177,5 +180,5 @@ func DoItemsErr(workers, n int, fn func(i int) error) error {
 		}()
 	}
 	wg.Wait()
-	return col.err
+	return col.result()
 }

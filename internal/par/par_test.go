@@ -145,3 +145,95 @@ func TestErrVariantsLeaveNoGoroutines(t *testing.T) {
 		t.Fatalf("goroutines grew from %d to %d after failed runs", base, got)
 	}
 }
+
+// TestWorkerPanicReachesCaller: a panic inside a worker is recovered there,
+// every worker is joined, and the panic from the smallest index is re-raised
+// on the calling goroutine with its original value — so the caller's own
+// recover contains it on the parallel path exactly as on the serial one.
+func TestWorkerPanicReachesCaller(t *testing.T) {
+	const n = 64
+	helpers := map[string]func(workers int, fn func(i int) error){
+		"Do": func(w int, fn func(i int) error) {
+			Do(w, n, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					_ = fn(i)
+				}
+			})
+		},
+		"DoErr": func(w int, fn func(i int) error) {
+			_ = DoErr(w, n, func(lo, hi int) error {
+				for i := lo; i < hi; i++ {
+					if err := fn(i); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		},
+		"DoItems": func(w int, fn func(i int) error) {
+			DoItems(w, n, func(i int) { _ = fn(i) })
+		},
+		"DoItemsErr": func(w int, fn func(i int) error) { _ = DoItemsErr(w, n, fn) },
+	}
+	for name, run := range helpers {
+		for _, workers := range []int{1, 4} {
+			// Items 40 and 50 both panic; the chunked helpers split 64 items
+			// into 16-item chunks at 4 workers, so each sits in its own
+			// chunk and the smaller index must win.
+			var running atomic.Int32
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				run(workers, func(i int) error {
+					running.Add(1)
+					defer running.Add(-1)
+					if i == 40 || i == 50 {
+						panic(fmt.Sprintf("boom %d", i))
+					}
+					return nil
+				})
+				return nil
+			}()
+			if got != "boom 40" {
+				t.Fatalf("%s workers=%d: recovered %v, want boom 40", name, workers, got)
+			}
+			if r := running.Load(); r != 0 {
+				t.Fatalf("%s workers=%d: %d workers still running after the panic reached the caller", name, workers, r)
+			}
+		}
+	}
+}
+
+// TestWorkerPanicBeatsLaterError: errors and panics share one fold, so an
+// error at a smaller index wins over a later panic and vice versa.
+func TestWorkerPanicBeatsLaterError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		err := DoItemsErr(workers, 64, func(i int) error {
+			switch i {
+			case 10:
+				return fmt.Errorf("item %d", i)
+			case 60:
+				panic("late")
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "item 10" {
+			t.Fatalf("workers=%d: got %v, want item 10", workers, err)
+		}
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			_ = DoItemsErr(workers, 64, func(i int) error {
+				switch i {
+				case 10:
+					panic("early")
+				case 60:
+					return fmt.Errorf("late")
+				}
+				return nil
+			})
+			return nil
+		}()
+		if got != "early" {
+			t.Fatalf("workers=%d: recovered %v, want early", workers, got)
+		}
+	}
+}

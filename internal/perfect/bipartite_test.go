@@ -30,11 +30,11 @@ func TestBipartiteFastPathMatchesGFP(t *testing.T) {
 				db.LinkAtom(rec, "name", rec+".name", "v")
 			}
 		}
-		fast, err := Minimal(db, Options{})
+		fast, err := minimal(db, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := Minimal(db, Options{UseNaiveGFP: true})
+		ref, err := minimal(db, Options{UseNaiveGFP: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,11 +56,11 @@ func TestBipartiteFastPathPreset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := Minimal(db, Options{})
+	fast, err := minimal(db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Minimal(db, Options{UseNaiveGFP: true})
+	ref, err := minimal(db, Options{UseNaiveGFP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestBipartiteFastPathWithSortsAndValues(t *testing.T) {
 	set("c", "Female", "32", graph.SortInt)
 	set("d", "Male", "unknown", graph.SortString)
 
-	res, err := Minimal(db, Options{UseSorts: true, ValueLabels: []string{"sex"}})
+	res, err := minimal(db, Options{UseSorts: true, ValueLabels: []string{"sex"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestBipartiteFastPathWithSortsAndValues(t *testing.T) {
 	if res.Home[db.Lookup("a")] == res.Home[db.Lookup("d")] {
 		t.Error("string-aged male should split from int-aged males")
 	}
-	ref, err := Minimal(db, Options{UseSorts: true, ValueLabels: []string{"sex"}, UseNaiveGFP: true})
+	ref, err := minimal(db, Options{UseSorts: true, ValueLabels: []string{"sex"}, UseNaiveGFP: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,11 +12,11 @@ import (
 // GFP extent quotient.
 func TestBisimulationEngineMatchesGFP(t *testing.T) {
 	db, _ := dbg.Generate(dbg.Options{})
-	gfp, err := Minimal(db, Options{})
+	gfp, err := minimal(db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bi, err := Minimal(db, Options{UseBisimulation: true})
+	bi, err := minimal(db, Options{UseBisimulation: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestBisimulationEngineMatchesGFP(t *testing.T) {
 
 func TestBisimulationEngineFigure4(t *testing.T) {
 	db := figure4DB()
-	res, err := Minimal(db, Options{UseBisimulation: true})
+	res, err := minimal(db, Options{UseBisimulation: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +82,10 @@ func TestBisimulationEngineFigure4(t *testing.T) {
 
 func TestBisimulationRejectsRefinements(t *testing.T) {
 	db := figure4DB()
-	if _, err := Minimal(db, Options{UseBisimulation: true, UseSorts: true}); err == nil {
+	if _, err := minimal(db, Options{UseBisimulation: true, UseSorts: true}); err == nil {
 		t.Fatal("bisim + sorts accepted")
 	}
-	if _, err := Minimal(db, Options{UseBisimulation: true, ValueLabels: []string{"x"}}); err == nil {
+	if _, err := minimal(db, Options{UseBisimulation: true, ValueLabels: []string{"x"}}); err == nil {
 		t.Fatal("bisim + value labels accepted")
 	}
 }

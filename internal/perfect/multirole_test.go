@@ -28,7 +28,7 @@ func figure5DB() *graph.DB {
 
 func TestExample43Covers(t *testing.T) {
 	db := figure5DB()
-	res, err := Minimal(db, Options{})
+	res, err := minimal(db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestExample43Covers(t *testing.T) {
 
 func TestApplyRolesNoCovers(t *testing.T) {
 	db := figure4DB()
-	res, err := Minimal(db, Options{})
+	res, err := minimal(db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

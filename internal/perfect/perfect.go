@@ -47,7 +47,7 @@ type Result struct {
 	QDExtent *typing.Extent
 	// WarmUsed reports that at least one of the Stage 1 fixpoints (Q_D or
 	// P_D) was maintained incrementally from a parent extraction's state (a
-	// MinimalSnapWarm warm start that stayed within its affected-fraction
+	// Minimal warm start that stayed within its affected-fraction
 	// budget). False for cold runs and for warm starts whose fixpoint
 	// evaluations all fell back to the full evaluation. Observability only —
 	// the result is bit-identical either way.
@@ -108,57 +108,22 @@ func (o Options) pictureOpts() typing.PictureOpts {
 	return po
 }
 
-// BuildQD constructs the per-object program Q_D of §4.1: one type per
-// complex object, whose rule mirrors the object's local picture exactly.
-// The i'th type corresponds to the i'th complex object; the returned slice
-// maps complex-object position to ObjectID.
-func BuildQD(db *graph.DB) (*typing.Program, []graph.ObjectID) {
-	return BuildQDSorted(db, false)
-}
-
-// BuildQDSorted is BuildQD with optional atomic sort constraints (Remark
-// 2.1): with useSorts, an edge to an atomic of sort s yields ->ℓ[0:s]
-// instead of ->ℓ[0].
-func BuildQDSorted(db *graph.DB, useSorts bool) (*typing.Program, []graph.ObjectID) {
-	return BuildQDOpts(db, typing.PictureOpts{UseSorts: useSorts})
-}
-
-// BuildQDOpts is BuildQD with full picture options: sort constraints and
-// value predicates on selected labels. Each rule uses the most specific
-// form the options enable.
-func BuildQDOpts(db *graph.DB, opts typing.PictureOpts) (*typing.Program, []graph.ObjectID) {
-	return BuildQDOptsWorkers(db, opts, 1)
-}
-
-// BuildQDOptsWorkers is BuildQDOpts with the per-object rule construction
-// sharded over the given number of workers (each object's rule depends only
-// on its own edges, so shards write disjoint slots). The assembled program
-// is identical to the serial one: types are collected positionally, in
-// complex-object order.
-func BuildQDOptsWorkers(db *graph.DB, opts typing.PictureOpts, workers int) (*typing.Program, []graph.ObjectID) {
-	p, objs, _ := BuildQDOptsCheck(db, opts, workers, nil)
-	return p, objs
-}
-
-// BuildQDOptsCheck is BuildQDOptsWorkers with a cooperative cancellation
-// checkpoint consulted periodically inside each shard (nil check: never
-// cancel). On cancellation all workers are joined and the error is returned.
+// BuildQD constructs the per-object program Q_D of §4.1 from a compiled
+// snapshot: one type per complex object, whose rule mirrors the object's
+// local picture exactly, with the sort constraints (Remark 2.1) and value
+// predicates opts enables — each rule uses the most specific form the
+// options allow. The i'th type corresponds to the i'th complex object; the
+// returned slice maps complex-object position to ObjectID. The dense
+// positions that become rule targets come straight from snap.Pos, and each
+// object's edges are walked in CSR form, so no position map is built and no
+// per-edge map lookups occur.
 //
-// It compiles a throwaway snapshot of db and delegates to BuildQDSnapCheck;
-// callers running several passes over one database should compile once.
-func BuildQDOptsCheck(db *graph.DB, opts typing.PictureOpts, workers int, check func() error) (*typing.Program, []graph.ObjectID, error) {
-	snap, err := compile.CompileCheck(db, workers, check)
-	if err != nil {
-		return nil, nil, err
-	}
-	return BuildQDSnapCheck(snap, opts, workers, check)
-}
-
-// BuildQDSnapCheck builds Q_D from a compiled snapshot: the dense
-// complex-object positions that become rule targets come straight from
-// snap.Pos, and each object's edges are walked in CSR form, so no position
-// map is built and no per-edge map lookups occur.
-func BuildQDSnapCheck(snap *compile.Snapshot, opts typing.PictureOpts, workers int, check func() error) (*typing.Program, []graph.ObjectID, error) {
+// Rule construction is sharded over workers (each object's rule depends only
+// on its own edges, so shards write disjoint slots); the assembled program is
+// identical to the serial one. check is a cooperative cancellation checkpoint
+// consulted periodically inside each shard (nil: never cancel); on
+// cancellation all workers are joined and the error is returned.
+func BuildQD(snap *compile.Snapshot, opts typing.PictureOpts, workers int, check func() error) (*typing.Program, []graph.ObjectID, error) {
 	objs := snap.Complex
 	types := make([]*typing.Type, len(objs))
 	err := par.DoErr(workers, len(objs), func(lo, hi int) error {
@@ -270,24 +235,6 @@ func buildQDWarm(snap *compile.Snapshot, opts typing.PictureOpts, warm *Warm, ch
 	return &typing.Program{Types: types}, objs, changed, nil
 }
 
-// Minimal computes the minimal perfect typing of db (the full Stage 1
-// algorithm of §4.1). It compiles a throwaway snapshot and delegates to
-// MinimalSnap; callers extracting repeatedly should compile once.
-func Minimal(db *graph.DB, opts Options) (*Result, error) {
-	snap, err := compile.CompileCheck(db, par.Workers(opts.Parallelism), opts.Check)
-	if err != nil {
-		return nil, err
-	}
-	return MinimalSnap(snap, opts)
-}
-
-// MinimalSnap is Minimal over a pre-compiled snapshot: Q_D construction,
-// both greatest-fixpoint evaluations, and the bisimulation position lookups
-// all read the snapshot's shared positions and label table.
-func MinimalSnap(snap *compile.Snapshot, opts Options) (*Result, error) {
-	return MinimalSnapWarm(snap, opts, nil)
-}
-
 // Warm carries a parent extraction's Stage 1 state for reuse against a
 // snapshot derived from it by compile.Apply. It is only sound when the apply
 // reported Shared and PosStable: dense complex positions must be stable so
@@ -308,17 +255,22 @@ type Warm struct {
 	MaxAffectedFrac float64
 }
 
-// MinimalSnapWarm is MinimalSnap with an optional warm start (nil warm is
-// exactly MinimalSnap). Against a parent extraction's retained state, every
-// pass reuses what the delta provably left alone: Q_D construction reuses
-// the parent's per-object rules for untouched positions, the Q_D and P_D
-// fixpoints are maintained incrementally via typing.EvalGFPSnapIncr, the
-// bipartite grouping inherits parent class identities for unchanged rules,
-// and class names are reused while the class prefix is undisturbed. The
-// bisimulation and naive-GFP routes ignore warm (they are the reference
-// paths and run no reusable fixpoint). Results are bit-identical with and
-// without warm, at any Parallelism.
-func MinimalSnapWarm(snap *compile.Snapshot, opts Options, warm *Warm) (*Result, error) {
+// Minimal computes the minimal perfect typing of the snapshot's database
+// (the full Stage 1 algorithm of §4.1). Q_D construction, both
+// greatest-fixpoint evaluations, and the bisimulation position lookups all
+// read the snapshot's shared positions and label table.
+//
+// warm is an optional warm start (nil means cold). Against a parent
+// extraction's retained state, every pass reuses what the delta provably
+// left alone: Q_D construction reuses the parent's per-object rules for
+// untouched positions, the Q_D and P_D fixpoints are maintained
+// incrementally via typing.EvalGFPSnapIncr, the bipartite grouping inherits
+// parent class identities for unchanged rules, and class names are reused
+// while the class prefix is undisturbed. The bisimulation and naive-GFP
+// routes ignore warm (they are the reference paths and run no reusable
+// fixpoint). Results are bit-identical with and without warm, at any
+// Parallelism.
+func Minimal(snap *compile.Snapshot, opts Options, warm *Warm) (*Result, error) {
 	db := snap.DB()
 	workers := par.Workers(opts.Parallelism)
 	check := opts.Check
@@ -331,7 +283,7 @@ func MinimalSnapWarm(snap *compile.Snapshot, opts Options, warm *Warm) (*Result,
 	if warmOK {
 		qd, objs, qdChanged, err = buildQDWarm(snap, opts.pictureOpts(), warm, check)
 	} else {
-		qd, objs, err = BuildQDSnapCheck(snap, opts.pictureOpts(), workers, check)
+		qd, objs, err = BuildQD(snap, opts.pictureOpts(), workers, check)
 	}
 	if err != nil {
 		return nil, err
@@ -349,7 +301,7 @@ func MinimalSnapWarm(snap *compile.Snapshot, opts Options, warm *Warm) (*Result,
 		if opts.UseSorts || len(opts.ValueLabels) > 0 {
 			return nil, fmt.Errorf("perfect: bisimulation Stage 1 does not support sort or value refinements")
 		}
-		part, err := bisim.ComputeCheck(db, check)
+		part, err := bisim.Compute(db, check)
 		if err != nil {
 			return nil, err
 		}
@@ -396,7 +348,7 @@ func MinimalSnapWarm(snap *compile.Snapshot, opts Options, warm *Warm) (*Result,
 			}
 		} else {
 			var err error
-			extent, err = typing.EvalGFPSnapCheck(qd, snap, workers, check)
+			extent, err = typing.EvalGFP(qd, snap, workers, check)
 			if err != nil {
 				return nil, err
 			}
@@ -547,7 +499,7 @@ func MinimalSnapWarm(snap *compile.Snapshot, opts Options, warm *Warm) (*Result,
 		result.Extent = ext
 		warmUsed = warmUsed || pdWarm
 	} else {
-		ext, err := typing.EvalGFPSnapCheck(pd, snap, workers, check)
+		ext, err := typing.EvalGFP(pd, snap, workers, check)
 		if err != nil {
 			return nil, err
 		}

@@ -4,11 +4,31 @@ import (
 	"math/rand"
 	"testing"
 
+	"schemex/internal/compile"
 	"schemex/internal/defect"
 	"schemex/internal/graph"
 	"schemex/internal/synth"
 	"schemex/internal/typing"
 )
+
+// snapOf compiles db with the automatic layout on every CPU.
+func snapOf(t testing.TB, db *graph.DB) *compile.Snapshot {
+	t.Helper()
+	snap, err := compile.Compile(db, 0, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// minimal compiles db and runs Stage 1 cold.
+func minimal(db *graph.DB, opts Options) (*Result, error) {
+	snap, err := compile.Compile(db, 0, opts.Parallelism, 0, opts.Check)
+	if err != nil {
+		return nil, err
+	}
+	return Minimal(snap, opts, nil)
+}
 
 // figure4DB builds the simple database of Figure 4 / Example 4.2:
 // o1 -a-> o2, o3, o4; o2 -b-> o5; o3 -b-> o6; o4 -b-> o7 and -c-> o7'.
@@ -30,7 +50,10 @@ func figure4DB() *graph.DB {
 
 func TestBuildQD(t *testing.T) {
 	db := figure4DB()
-	qd, objs := BuildQD(db)
+	qd, objs, err := BuildQD(snapOf(t, db), typing.PictureOpts{}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(qd.Types) != 4 || len(objs) != 4 {
 		t.Fatalf("Q_D has %d types over %d objects, want 4", len(qd.Types), len(objs))
 	}
@@ -59,7 +82,7 @@ func TestBuildQD(t *testing.T) {
 // three classes {o1}, {o2, o3}, {o4}, with the program of Example 4.2.
 func TestExample42(t *testing.T) {
 	db := figure4DB()
-	res, err := Minimal(db, Options{})
+	res, err := minimal(db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +114,15 @@ func TestExample42(t *testing.T) {
 }
 
 func TestRemark41(t *testing.T) {
-	db := figure4DB()
-	qd, objs := BuildQD(db)
-	ext := typing.EvalGFP(qd, db)
+	snap := snapOf(t, figure4DB())
+	qd, objs, err := BuildQD(snap, typing.PictureOpts{}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := typing.EvalGFP(qd, snap, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := VerifyRemark41(ext, objs); err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +130,11 @@ func TestRemark41(t *testing.T) {
 
 func TestMinimalNaiveAgrees(t *testing.T) {
 	db := figure4DB()
-	a, err := Minimal(db, Options{})
+	a, err := minimal(db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Minimal(db, Options{UseNaiveGFP: true})
+	b, err := minimal(db, Options{UseNaiveGFP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +153,7 @@ func TestPerfectTypingHasZeroDefect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Minimal(db, Options{})
+		res, err := minimal(db, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +187,7 @@ func TestShapeQuotientBoundsClasses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Minimal(db, Options{})
+		res, err := minimal(db, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +235,7 @@ func TestFigure2Classes(t *testing.T) {
 	db.LinkAtom("j", "name", "jn", "Jobs")
 	db.LinkAtom("m", "name", "mn", "Microsoft")
 	db.LinkAtom("a", "name", "an", "Apple")
-	res, err := Minimal(db, Options{})
+	res, err := minimal(db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +275,7 @@ func TestNameCollisionsDisambiguated(t *testing.T) {
 	db.Link("root", "x1", "item")
 	db.Link("root", "x2", "item")
 	db.LinkAtom("x2", "extra", "e1", "v")
-	res, err := Minimal(db, Options{})
+	res, err := minimal(db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +299,7 @@ func TestRelationalDataOneTypePerRelation(t *testing.T) {
 		db.LinkAtom(row, "dname", row+".n", "name")
 		db.LinkAtom(row, "budget", row+".b", "1000")
 	}
-	res, err := Minimal(db, Options{})
+	res, err := minimal(db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

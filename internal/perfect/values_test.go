@@ -21,7 +21,7 @@ func TestValueLabelsSplitClasses(t *testing.T) {
 	add("b", "Male")
 	add("c", "Female")
 
-	plain, err := Minimal(db, Options{})
+	plain, err := minimal(db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestValueLabelsSplitClasses(t *testing.T) {
 		t.Fatalf("without value labels: %d classes, want 1", plain.Program.Len())
 	}
 
-	valued, err := Minimal(db, Options{ValueLabels: []string{"sex"}})
+	valued, err := minimal(db, Options{ValueLabels: []string{"sex"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestValueLabelsWithSorts(t *testing.T) {
 		}
 		db.Link(r, r+".v", "grade")
 	}
-	res, err := Minimal(db, Options{UseSorts: true, ValueLabels: []string{"grade"}})
+	res, err := minimal(db, Options{UseSorts: true, ValueLabels: []string{"grade"}})
 	if err != nil {
 		t.Fatal(err)
 	}

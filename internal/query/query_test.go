@@ -4,11 +4,22 @@ import (
 	"math/rand"
 	"testing"
 
+	"schemex/internal/compile"
 	"schemex/internal/dbg"
 	"schemex/internal/graph"
 	"schemex/internal/perfect"
 	"schemex/internal/synth"
 )
+
+// snapOf compiles db with the automatic layout on every CPU.
+func snapOf(tb testing.TB, db *graph.DB) *compile.Snapshot {
+	tb.Helper()
+	snap, err := compile.Compile(db, 0, 0, 0, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap
+}
 
 func TestParsePath(t *testing.T) {
 	cases := []struct {
@@ -109,7 +120,7 @@ func TestMatchHandlesCycles(t *testing.T) {
 // guideFor builds a Guide from the minimal perfect typing of db.
 func guideFor(t *testing.T, db *graph.DB) *Guide {
 	t.Helper()
-	res, err := perfect.Minimal(db, perfect.Options{})
+	res, err := perfect.Minimal(snapOf(t, db), perfect.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +188,7 @@ func TestGuidedSubsetOnApproximateTyping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := perfect.Minimal(db, perfect.Options{})
+	res, err := perfect.Minimal(snapOf(t, db), perfect.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +287,7 @@ func randomShapeSpec(rng *rand.Rand) *synth.ShapeSpec {
 
 func TestCandidateTypes(t *testing.T) {
 	db := queryDB()
-	res, err := perfect.Minimal(db, perfect.Options{})
+	res, err := perfect.Minimal(snapOf(t, db), perfect.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

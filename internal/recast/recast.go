@@ -41,8 +41,8 @@ type Options struct {
 	ValueLabels []string
 	// Check, if non-nil, is a cooperative cancellation checkpoint consulted
 	// periodically while classifying objects. A non-nil return aborts the
-	// recast (RecastErr returns the error; Recast returns nil). Checks never
-	// alter any classification decision.
+	// recast and Recast returns the error. Checks never alter any
+	// classification decision.
 	Check func() error
 	// Parallelism bounds the worker goroutines that classify objects;
 	// <= 0 means one per CPU, 1 runs serially. Per-object decisions are
@@ -75,44 +75,8 @@ type Result struct {
 	Unclassified int
 }
 
-// Recast assigns every complex object of db to types of prog.
-//
-// homes maps each complex object to its home types in prog (for an object
-// whose Stage 1 class was merged into cluster c, that is {c}; objects
-// retired to the empty type have no entry or an empty slice). Local pictures
-// are computed with neighbour classes taken from homes, following the
-// paper's sliding-scale procedure: Stage 1 fixed each object's class, and
-// Stage 2 merged classes, so the home mapping is the available evidence
-// about neighbours.
-func Recast(db *graph.DB, prog *typing.Program, homes map[graph.ObjectID][]int, opts Options) *Result {
-	res, _ := RecastErr(db, prog, homes, opts)
-	return res
-}
-
 // checkEvery is the per-object checkpoint stride of the classification loop.
 const checkEvery = 1024
-
-// RecastErr is Recast with cancellation: when Options.Check reports an error
-// mid-pass, all workers are joined and the error is returned with a nil
-// result.
-//
-// It compiles a throwaway snapshot of db and delegates to RecastSnapErr;
-// callers recasting repeatedly over one database should compile once.
-func RecastErr(db *graph.DB, prog *typing.Program, homes map[graph.ObjectID][]int, opts Options) (*Result, error) {
-	snap, err := compile.CompileCheck(db, par.Workers(opts.Parallelism), opts.Check)
-	if err != nil {
-		return nil, err
-	}
-	return RecastSnapErr(snap, prog, homes, opts)
-}
-
-// RecastSnapErr is RecastErr over a pre-compiled snapshot: local pictures
-// are computed in CSR form through the snapshot's label table, and the
-// defect measurement reuses the same snapshot.
-func RecastSnapErr(snap *compile.Snapshot, prog *typing.Program, homes map[graph.ObjectID][]int, opts Options) (*Result, error) {
-	res, _, err := RecastSnapWarm(snap, prog, homes, opts, nil)
-	return res, err
-}
 
 // Warm carries a parent recast for dirty-object re-entry. It is sound only
 // when the parent assignment was produced over an equivalent input: the same
@@ -120,7 +84,7 @@ func RecastSnapErr(snap *compile.Snapshot, prog *typing.Program, homes map[graph
 // classification), the same Options, and homes that agree with the current
 // ones on every clean object and its neighbours. The caller establishes
 // those invariants (core does, by diffing homes and closing over the delta's
-// touched objects); RecastSnapWarm only consumes them.
+// touched objects); Recast only consumes them.
 type Warm struct {
 	// Assignment is the parent extraction's final assignment, keyed by
 	// ObjectID, so it remains addressable across snapshots.
@@ -133,15 +97,28 @@ type Warm struct {
 	Dirty []bool
 }
 
-// RecastSnapWarm is RecastSnapErr with an optional warm start: only objects
-// w marks dirty are classified, every other object reuses its parent row.
-// The second return value counts the objects actually classified. Because a
-// clean object's local picture and the type definitions are unchanged, the
-// copied rows equal what classification would have produced, and the result
-// is bit-identical to a cold recast at any Parallelism; the defect is always
-// measured in full against the fresh assignment. A nil w classifies
-// everything (exactly RecastSnapErr).
-func RecastSnapWarm(snap *compile.Snapshot, prog *typing.Program, homes map[graph.ObjectID][]int, opts Options, w *Warm) (*Result, int, error) {
+// Recast assigns every complex object of the snapshot's database to types
+// of prog.
+//
+// homes maps each complex object to its home types in prog (for an object
+// whose Stage 1 class was merged into cluster c, that is {c}; objects
+// retired to the empty type have no entry or an empty slice). Local pictures
+// are computed with neighbour classes taken from homes, following the
+// paper's sliding-scale procedure: Stage 1 fixed each object's class, and
+// Stage 2 merged classes, so the home mapping is the available evidence
+// about neighbours. Pictures are computed in CSR form through the
+// snapshot's label table, and the defect measurement reuses the same
+// snapshot. When Options.Check reports an error mid-pass, all workers are
+// joined and the error is returned with a nil result.
+//
+// w is an optional warm start: only objects w marks dirty are classified,
+// every other object reuses its parent row. The second return value counts
+// the objects actually classified. Because a clean object's local picture
+// and the type definitions are unchanged, the copied rows equal what
+// classification would have produced, and the result is bit-identical to a
+// cold recast at any Parallelism; the defect is always measured in full
+// against the fresh assignment. A nil w classifies everything.
+func Recast(snap *compile.Snapshot, prog *typing.Program, homes map[graph.ObjectID][]int, opts Options, w *Warm) (*Result, int, error) {
 	db := snap.DB()
 	a := typing.NewAssignment(prog, db)
 	classesOf := func(x graph.ObjectID) []int { return homes[x] }
@@ -203,7 +180,7 @@ func RecastSnapWarm(snap *compile.Snapshot, prog *typing.Program, homes map[grap
 				continue
 			}
 			o := objs[i]
-			picture := typing.LocalLinksSnapOpts(snap, o, classesOf, po)
+			picture := typing.LocalLinksSnap(snap, o, classesOf, po)
 			local.Reset()
 			extra := 0
 			for _, l := range picture {
@@ -277,7 +254,7 @@ func containsAll(set typing.LinkSet, links []typing.TypedLink) bool {
 // the object's neighbours is taken from assign.
 func TypeNewObject(assign *typing.Assignment, o graph.ObjectID, maxDistance int) []int {
 	prog, db := assign.Program, assign.DB
-	local := typing.LocalLinks(db, o, func(x graph.ObjectID) []int { return assign.Of(x) })
+	local := typing.LocalLinks(db, o, func(x graph.ObjectID) []int { return assign.Of(x) }, typing.PictureOpts{})
 	localSet := typing.NewLinkSet(local)
 	var out []int
 	for ti, t := range prog.Types {

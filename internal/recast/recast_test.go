@@ -20,6 +20,16 @@ func testDB() *graph.DB {
 	return db
 }
 
+// recastDB compiles db and recasts it cold.
+func recastDB(tb testing.TB, db *graph.DB, p *typing.Program, homes map[graph.ObjectID][]int, opts Options) *Result {
+	tb.Helper()
+	res, _, err := Recast(snapOf(tb, db), p, homes, opts, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func personProgram() *typing.Program {
 	return typing.MustParse(`
 		type person = ->name[0] & ->mail[0]
@@ -39,7 +49,7 @@ func TestRecastExactFit(t *testing.T) {
 	db := testDB()
 	p := personProgram()
 	homes := homesFor(db, map[string]int{"p1": 0, "p2": 0, "p3": 0, "q": 1})
-	res := Recast(db, p, homes, Options{KeepHome: false, MaxDistance: -1})
+	res := recastDB(t, db, p, homes, Options{KeepHome: false, MaxDistance: -1})
 	a := res.Assignment
 	if !a.Has(db.Lookup("p1"), 0) || !a.Has(db.Lookup("p2"), 0) {
 		t.Fatal("full records should satisfy person exactly")
@@ -65,7 +75,7 @@ func TestRecastMaxDistanceCutoff(t *testing.T) {
 	db := testDB()
 	p := personProgram()
 	homes := map[graph.ObjectID][]int{} // no home evidence
-	res := Recast(db, p, homes, Options{KeepHome: false, MaxDistance: 0})
+	res := recastDB(t, db, p, homes, Options{KeepHome: false, MaxDistance: 0})
 	// p3 fits nothing exactly and the cutoff forbids approximation.
 	if got := res.Assignment.Of(db.Lookup("p3")); len(got) != 0 {
 		t.Fatalf("p3 assigned %v despite cutoff", got)
@@ -81,7 +91,7 @@ func TestRecastKeepHome(t *testing.T) {
 	// Give p3 home type "other" — absurd on purpose; KeepHome must keep it
 	// and the missing qq link must surface as deficit.
 	homes := homesFor(db, map[string]int{"p1": 0, "p2": 0, "p3": 1, "q": 1})
-	res := Recast(db, p, homes, Options{KeepHome: true, MaxDistance: -1})
+	res := recastDB(t, db, p, homes, Options{KeepHome: true, MaxDistance: -1})
 	if !res.Assignment.Has(db.Lookup("p3"), 1) {
 		t.Fatal("KeepHome did not keep the home type")
 	}
@@ -93,7 +103,7 @@ func TestRecastKeepHome(t *testing.T) {
 func TestRecastNoClosest(t *testing.T) {
 	db := testDB()
 	p := personProgram()
-	res := Recast(db, p, map[graph.ObjectID][]int{}, Options{KeepHome: false, NoClosest: true, MaxDistance: -1})
+	res := recastDB(t, db, p, map[graph.ObjectID][]int{}, Options{KeepHome: false, NoClosest: true, MaxDistance: -1})
 	if got := res.Assignment.Of(db.Lookup("p3")); len(got) != 0 {
 		t.Fatalf("NoClosest still assigned %v", got)
 	}
@@ -110,7 +120,7 @@ func TestRecastMultipleExactFits(t *testing.T) {
 		type named  = ->name[0]
 		type mailed = ->mail[0] & ->name[0]
 	`)
-	res := Recast(db, p, map[graph.ObjectID][]int{}, Options{KeepHome: false, MaxDistance: -1})
+	res := recastDB(t, db, p, map[graph.ObjectID][]int{}, Options{KeepHome: false, MaxDistance: -1})
 	got := res.Assignment.Of(db.Lookup("rich"))
 	if len(got) != 2 {
 		t.Fatalf("rich assigned %v, want both types", got)
@@ -130,7 +140,7 @@ func TestRecastUsesHomeEvidenceForNeighbors(t *testing.T) {
 		type proj   = <-project[member] & ->title[0]
 	`)
 	homes := homesFor(db, map[string]int{"alice": 0, "lore": 1})
-	res := Recast(db, p, homes, Options{KeepHome: false, MaxDistance: -1})
+	res := recastDB(t, db, p, homes, Options{KeepHome: false, MaxDistance: -1})
 	if !res.Assignment.Has(db.Lookup("alice"), 0) {
 		t.Fatal("alice should satisfy member via lore's home class")
 	}
@@ -146,7 +156,7 @@ func TestTypeNewObject(t *testing.T) {
 	db := testDB()
 	p := personProgram()
 	homes := homesFor(db, map[string]int{"p1": 0, "p2": 0, "p3": 0, "q": 1})
-	res := Recast(db, p, homes, Options{KeepHome: false, MaxDistance: -1})
+	res := recastDB(t, db, p, homes, Options{KeepHome: false, MaxDistance: -1})
 
 	// A new full person arrives.
 	db.LinkAtom("p4", "name", "p4.n", "x")

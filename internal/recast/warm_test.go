@@ -5,7 +5,18 @@ import (
 	"testing"
 
 	"schemex/internal/compile"
+	"schemex/internal/graph"
 )
+
+// snapOf compiles db with the automatic layout on every CPU.
+func snapOf(tb testing.TB, db *graph.DB) *compile.Snapshot {
+	tb.Helper()
+	snap, err := compile.Compile(db, 0, 0, 0, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap
+}
 
 // TestRecastWarmMatchesCold: a warm recast that reclassifies only the dirty
 // positions and copies the rest from a parent assignment is bit-identical to
@@ -13,12 +24,12 @@ import (
 // execution.
 func TestRecastWarmMatchesCold(t *testing.T) {
 	db := testDB()
-	snap := compile.Compile(db)
+	snap := snapOf(t, db)
 	p := personProgram()
 	homes := homesFor(db, map[string]int{"p1": 0, "p2": 0, "p3": 0, "q": 1})
 	opts := Options{KeepHome: true, MaxDistance: -1}
 
-	cold, err := RecastSnapErr(snap, p, homes, opts)
+	cold, _, err := Recast(snap, p, homes, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +53,7 @@ func TestRecastWarmMatchesCold(t *testing.T) {
 		for _, par := range []int{1, 0} {
 			o := opts
 			o.Parallelism = par
-			warm, classified, err := RecastSnapWarm(snap, p, homes, o, &Warm{
+			warm, classified, err := Recast(snap, p, homes, o, &Warm{
 				Assignment: cold.Assignment, Dirty: mask,
 			})
 			if err != nil {
@@ -72,15 +83,15 @@ func TestRecastWarmMatchesCold(t *testing.T) {
 // the warm result must not reach back into the parent assignment.
 func TestRecastWarmCopiedRowsIndependent(t *testing.T) {
 	db := testDB()
-	snap := compile.Compile(db)
+	snap := snapOf(t, db)
 	p := personProgram()
 	homes := homesFor(db, map[string]int{"p1": 0, "p2": 0, "p3": 0, "q": 1})
 	opts := Options{KeepHome: true, MaxDistance: -1}
-	cold, err := RecastSnapErr(snap, p, homes, opts)
+	cold, _, err := Recast(snap, p, homes, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, _, err := RecastSnapWarm(snap, p, homes, opts, &Warm{
+	warm, _, err := Recast(snap, p, homes, opts, &Warm{
 		Assignment: cold.Assignment, Dirty: make([]bool, len(snap.Complex)),
 	})
 	if err != nil {

@@ -116,7 +116,7 @@ func witnessed(db *graph.DB, l TypedLink, o graph.ObjectID, member []*bitset.Set
 // EvalGFPNaive computes the greatest fixpoint by the straightforward method
 // of §4: start with every complex object in every type (M_all) and apply the
 // program until no change occurs. It is the reference implementation; EvalGFP
-// computes the same result faster.
+// computes the same result faster over a compiled snapshot.
 func EvalGFPNaive(p *Program, db *graph.DB) *Extent {
 	n := db.NumObjects()
 	member := make([]*bitset.Set, len(p.Types))
@@ -149,52 +149,12 @@ func EvalGFPNaive(p *Program, db *graph.DB) *Extent {
 	return &Extent{Program: p, DB: db, Member: member}
 }
 
-// EvalGFP computes the greatest fixpoint with support counting: each
-// (object, type, link) triple tracks its number of witnesses, and removals
-// propagate along edges, giving work proportional to edges × types touched
-// rather than full re-evaluation rounds. This is one of the "many possible
-// improvements" §4 alludes to for monadic programs.
-func EvalGFP(p *Program, db *graph.DB) *Extent {
-	return EvalGFPWorkers(p, db, 1)
-}
-
-// EvalGFPWorkers is EvalGFP with the degree-histogram build sharded by object
-// and the initial support seeding sharded by type across the given number of
-// workers (<= 1 runs the exact serial code path). Shards write disjoint
-// state — each object owns its histogram rows, each type owns its member set,
-// count table, and deferred removal list — and the greatest fixpoint is
-// unique regardless of removal order, so the result is identical to serial.
-// The propagation queue itself stays serial: its work is proportional to
-// witnesses actually lost, which is small once seeding has done the bulk
-// elimination.
-func EvalGFPWorkers(p *Program, db *graph.DB, workers int) *Extent {
-	ext, _ := EvalGFPCheck(p, db, workers, nil)
-	return ext
-}
-
 // checkEvery is the checkpoint stride of the fixpoint evaluators: the
 // cancellation check runs once per this many loop iterations, keeping the
 // overhead unmeasurable while bounding the latency of a cancel to a few
 // microseconds of extra work. Checks never alter any computed value — they
 // only abort the whole evaluation — so determinism is unaffected.
 const checkEvery = 1024
-
-// EvalGFPCheck is EvalGFPWorkers with a cooperative cancellation checkpoint:
-// check (nil means "never cancel") is consulted between phases, per seeding
-// shard, and every checkEvery propagation-queue pops. On a non-nil check
-// error the evaluation stops early, all worker goroutines are joined, and
-// the error is returned with a nil extent.
-//
-// It compiles a throwaway snapshot of db and delegates to EvalGFPSnapCheck;
-// callers evaluating several programs over one database should compile the
-// snapshot once and call EvalGFPSnapCheck directly.
-func EvalGFPCheck(p *Program, db *graph.DB, workers int, check func() error) (*Extent, error) {
-	snap, err := compile.CompileCheck(db, workers, check)
-	if err != nil {
-		return nil, err
-	}
-	return EvalGFPSnapCheck(p, snap, workers, check)
-}
 
 // removal is one (type, object) membership retraction awaiting propagation.
 type removal struct {
@@ -219,13 +179,25 @@ func atomicWitnessSnap(snap *compile.Snapshot, to graph.ObjectID, l TypedLink) b
 	return !l.HasValue || v.Text == l.Value
 }
 
-// EvalGFPSnapCheck computes the greatest fixpoint over a compiled snapshot:
-// the snapshot supplies the label universe, the dense complex positions, and
-// the degree histograms that seed the support counts, so the evaluator
-// performs no per-call rebuild of any of them, and the propagation loop
-// compares int32 label IDs instead of strings. Program labels are resolved
-// against the snapshot's label table once, up front.
-func EvalGFPSnapCheck(p *Program, snap *compile.Snapshot, workers int, check func() error) (*Extent, error) {
+// EvalGFP computes the greatest fixpoint of p over a compiled snapshot with
+// support counting: each (object, type, link) triple tracks its number of
+// witnesses, and removals propagate along edges, giving work proportional to
+// edges × types touched rather than full re-evaluation rounds — one of the
+// "many possible improvements" §4 alludes to for monadic programs. The
+// snapshot supplies the label universe, the dense complex positions, and the
+// degree histograms that seed the support counts, so the evaluator performs
+// no per-call rebuild of any of them, and the propagation loop compares int32
+// label IDs instead of strings. Program labels are resolved against the
+// snapshot's label table once, up front.
+//
+// The support seeding is sharded by type across workers (<= 1 runs the exact
+// serial code path). Shards write disjoint state and the greatest fixpoint
+// is unique regardless of removal order, so the result is identical to
+// serial. check (nil means "never cancel") is consulted between phases, per
+// seeding shard, and every checkEvery propagation-queue pops; on a non-nil
+// check error the evaluation stops early, all worker goroutines are joined,
+// and the error is returned with a nil extent.
+func EvalGFP(p *Program, snap *compile.Snapshot, workers int, check func() error) (*Extent, error) {
 	// The whole evaluation — seeding the support counts and then the
 	// fixpoint propagation — sweeps every object's edge lists repeatedly,
 	// so its working set is the full snapshot. Pin it once up front: under
@@ -618,7 +590,7 @@ func (e *Extent) IsFixpoint() bool {
 // the type definition when link targets are resolved against this extent.
 // (Used by recasting diagnostics.)
 func (e *Extent) HomeCandidates(o graph.ObjectID) []int {
-	local := LocalLinks(e.DB, o, func(x graph.ObjectID) []int { return e.TypesOf(x) })
+	local := LocalLinks(e.DB, o, func(x graph.ObjectID) []int { return e.TypesOf(x) }, PictureOpts{})
 	var out []int
 	for ti, t := range e.Program.Types {
 		if !e.Member[ti].Test(int(o)) {
@@ -629,14 +601,6 @@ func (e *Extent) HomeCandidates(o graph.ObjectID) []int {
 		}
 	}
 	return out
-}
-
-// LocalLinks computes the local picture of object o as a canonical set of
-// typed links, given a classesOf function mapping each neighbour to the
-// types it belongs to. An edge to a neighbour with several types produces
-// one typed link per type.
-func LocalLinks(db *graph.DB, o graph.ObjectID, classesOf func(graph.ObjectID) []int) []TypedLink {
-	return LocalLinksSorted(db, o, classesOf, false)
 }
 
 // PictureOpts configure how local pictures and Q_D rules describe atomic
@@ -650,17 +614,15 @@ type PictureOpts struct {
 	ValueLabels map[string]bool
 }
 
-// LocalLinksSorted is LocalLinks with optional sort constraints (Remark
-// 2.1).
-func LocalLinksSorted(db *graph.DB, o graph.ObjectID, classesOf func(graph.ObjectID) []int, useSorts bool) []TypedLink {
-	return LocalLinksOpts(db, o, classesOf, PictureOpts{UseSorts: useSorts})
-}
-
-// LocalLinksOpts computes the local picture with the given options. An edge
-// to an atomic object contributes the plain ->ℓ[0] form plus the
-// sort-constrained and value-constrained forms its options enable, so
-// definitions at any precision can be matched by subset tests.
-func LocalLinksOpts(db *graph.DB, o graph.ObjectID, classesOf func(graph.ObjectID) []int, opts PictureOpts) []TypedLink {
+// LocalLinks computes the local picture of object o in db as a canonical set
+// of typed links, given a classesOf function mapping each neighbour to the
+// types it belongs to. An edge to a neighbour with several types produces
+// one typed link per type. An edge to an atomic object contributes the plain
+// ->ℓ[0] form plus the sort-constrained and value-constrained forms opts
+// enables, so definitions at any precision can be matched by subset tests.
+// It reads the database rather than a snapshot because it also types the
+// new objects of §6, which no compiled snapshot holds.
+func LocalLinks(db *graph.DB, o graph.ObjectID, classesOf func(graph.ObjectID) []int, opts PictureOpts) []TypedLink {
 	var links []TypedLink
 	for _, e := range db.Out(o) {
 		if db.IsAtomic(e.To) {
@@ -701,10 +663,10 @@ func LocalLinksOpts(db *graph.DB, o graph.ObjectID, classesOf func(graph.ObjectI
 	return tmp.Links
 }
 
-// LocalLinksSnapOpts is LocalLinksOpts over a compiled snapshot: edges are
-// walked in CSR form and label strings come from the snapshot's interned
-// table, so no per-edge map lookups or string allocations occur.
-func LocalLinksSnapOpts(snap *compile.Snapshot, o graph.ObjectID, classesOf func(graph.ObjectID) []int, opts PictureOpts) []TypedLink {
+// LocalLinksSnap is LocalLinks over a compiled snapshot: edges are walked in
+// CSR form and label strings come from the snapshot's interned table, so no
+// per-edge map lookups or string allocations occur.
+func LocalLinksSnap(snap *compile.Snapshot, o graph.ObjectID, classesOf func(graph.ObjectID) []int, opts PictureOpts) []TypedLink {
 	var links []TypedLink
 	to, lab := snap.Out(o)
 	for k := range to {

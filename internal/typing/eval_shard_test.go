@@ -17,16 +17,16 @@ func TestGFPShardParallelMatchesSerial(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		db := randomDB(rng, 80+rng.Intn(240))
 		p := randomProgram(rng, 1+rng.Intn(5))
-		flat, err := compile.CompileShardsCheck(db, 1, 1, nil)
+		flat, err := compile.Compile(db, 1, 1, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := EvalGFPSnapCheck(p, flat, 1, nil)
+		want, err := EvalGFP(p, flat, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, shards := range []int{2, 4} {
-			snap, err := compile.CompileShardsCheck(db, shards, 0, nil)
+			snap, err := compile.Compile(db, shards, 0, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -34,7 +34,7 @@ func TestGFPShardParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("trial %d: shards=%d produced %d shards", trial, shards, snap.NumShards())
 			}
 			for _, workers := range []int{1, 0, 8} {
-				got, err := EvalGFPSnapCheck(p, snap, workers, nil)
+				got, err := EvalGFP(p, snap, workers, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -33,7 +33,7 @@ type IncrOptions struct {
 // greatest fixpoint of p over snap by re-deriving only the delta's affected
 // neighborhood, warm-starting everything else from the parent.
 //
-// Caller contract (what perfect.MinimalSnapWarm guarantees for Q_D over a
+// Caller contract (what perfect.Minimal guarantees for Q_D over a
 // compile.Apply-derived snapshot):
 //   - len(p.Types) >= len(parent.Member), and every type index not in
 //     changedTypes and below the parent length has an identical definition in
@@ -63,7 +63,7 @@ type IncrOptions struct {
 // new fixpoint has every link witnessed in the parent database by the
 // parent fixpoint plus the family itself, a pre-fixpoint above the parent's
 // greatest fixpoint there — a contradiction. The support-counting descent
-// from M₀ therefore converges to exactly the fixpoint EvalGFPSnapCheck
+// from M₀ therefore converges to exactly the fixpoint EvalGFP
 // computes — bit-identical extents.
 //
 // Support-count rows are kept sparsely and fully lazily. Seed pairs —
@@ -77,14 +77,14 @@ type IncrOptions struct {
 // membership.
 //
 // The second return value reports whether the incremental path was used;
-// false means the evaluator fell back to EvalGFPSnapCheck (nil parent, or
+// false means the evaluator fell back to EvalGFP (nil parent, or
 // raised-plus-materialized pairs exceeding MaxAffectedFrac of the type ×
 // object matrix). Either way the returned extent is the unique greatest
 // fixpoint. Result rows of types the delta left completely untouched alias
 // the parent extent's rows; extents must be treated as immutable.
 func EvalGFPSnapIncr(p *Program, snap *compile.Snapshot, parent *Extent, changedTypes []int, touched []graph.ObjectID, opts IncrOptions) (*Extent, bool, error) {
 	if parent == nil {
-		ext, err := EvalGFPSnapCheck(p, snap, opts.Workers, opts.Check)
+		ext, err := EvalGFP(p, snap, opts.Workers, opts.Check)
 		return ext, false, err
 	}
 	// Liveness probes and lazy count materialization chase edges from the
@@ -106,7 +106,7 @@ func EvalGFPSnapIncr(p *Program, snap *compile.Snapshot, parent *Extent, changed
 	}
 	check := opts.Check
 	fallback := func() (*Extent, bool, error) {
-		ext, err := EvalGFPSnapCheck(p, snap, opts.Workers, opts.Check)
+		ext, err := EvalGFP(p, snap, opts.Workers, opts.Check)
 		return ext, false, err
 	}
 

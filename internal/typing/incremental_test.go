@@ -12,16 +12,26 @@ import (
 	"schemex/internal/typing"
 )
 
+// snapOf compiles db with the automatic layout on every CPU.
+func snapOf(tb testing.TB, db *graph.DB) *compile.Snapshot {
+	tb.Helper()
+	snap, err := compile.Compile(db, 0, 0, 0, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap
+}
+
 // incrCase sets up a parent Q_D fixpoint, applies the delta, and returns
 // everything EvalGFPSnapIncr needs plus the from-scratch reference extent.
 func incrCase(t *testing.T, db *graph.DB, delta *graph.Delta) (qd2 *typing.Program, snap2 *compile.Snapshot, parent *typing.Extent, changed []int, eff *graph.DeltaEffect, want *typing.Extent) {
 	t.Helper()
-	snap := compile.Compile(db)
-	qd, _, err := perfect.BuildQDSnapCheck(snap, typing.PictureOpts{}, 1, nil)
+	snap := snapOf(t, db)
+	qd, _, err := perfect.BuildQD(snap, typing.PictureOpts{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parent, err = typing.EvalGFPSnapCheck(qd, snap, 1, nil)
+	parent, err = typing.EvalGFP(qd, snap, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +39,8 @@ func incrCase(t *testing.T, db *graph.DB, delta *graph.Delta) (qd2 *typing.Progr
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap2 = compile.Compile(child)
-	qd2, _, err = perfect.BuildQDSnapCheck(snap2, typing.PictureOpts{}, 1, nil)
+	snap2 = snapOf(t, child)
+	qd2, _, err = perfect.BuildQD(snap2, typing.PictureOpts{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +58,7 @@ func incrCase(t *testing.T, db *graph.DB, delta *graph.Delta) (qd2 *typing.Progr
 			changed = append(changed, ti)
 		}
 	}
-	want, err = typing.EvalGFPSnapCheck(qd2, snap2, 1, nil)
+	want, err = typing.EvalGFP(qd2, snap2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

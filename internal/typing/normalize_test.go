@@ -88,7 +88,7 @@ func TestHomeCandidates(t *testing.T) {
 		type person = ->is-manager-of[firm] & ->name[0] & <-is-managed-by[firm]
 		type firm   = ->is-managed-by[person] & ->name[0] & <-is-manager-of[person]
 	`)
-	ee := EvalGFP(exact, db)
+	ee := evalGFP(t, exact, db)
 	got := ee.HomeCandidates(db.Lookup("g"))
 	if len(got) != 1 || exact.Types[got[0]].Name != "person" {
 		t.Fatalf("HomeCandidates(g) = %v", got)
@@ -96,7 +96,7 @@ func TestHomeCandidates(t *testing.T) {
 	// Under the looser Figure 2 program, g's picture strictly exceeds the
 	// person rule: no exact home candidates.
 	loose := figure2Program()
-	le := EvalGFP(loose, db)
+	le := evalGFP(t, loose, db)
 	if got := le.HomeCandidates(db.Lookup("g")); len(got) != 0 {
 		t.Fatalf("loose HomeCandidates(g) = %v, want none", got)
 	}

@@ -6,8 +6,23 @@ import (
 	"testing"
 	"testing/quick"
 
+	"schemex/internal/compile"
 	"schemex/internal/graph"
 )
+
+// evalGFP compiles db and evaluates p's greatest fixpoint serially.
+func evalGFP(t testing.TB, p *Program, db *graph.DB) *Extent {
+	t.Helper()
+	snap, err := compile.Compile(db, 0, 1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := EvalGFP(p, snap, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ext
+}
 
 // figure2DB builds the manager/firm database of Figure 2.
 func figure2DB() *graph.DB {
@@ -130,7 +145,7 @@ func TestFigure2GFP(t *testing.T) {
 	p := figure2Program()
 	for name, eval := range map[string]func(*Program, *graph.DB) *Extent{
 		"naive":   EvalGFPNaive,
-		"support": EvalGFP,
+		"support": func(p *Program, db *graph.DB) *Extent { return evalGFP(t, p, db) },
 	} {
 		e := eval(p, db)
 		person, firm := p.IndexOf("person"), p.IndexOf("firm")
@@ -158,7 +173,7 @@ func TestGFPDropsUnsupported(t *testing.T) {
 	// person (its only is-manager-of target leaves firm).
 	db.RemoveLink(db.Lookup("m"), db.Lookup("mn"), "name")
 	p := figure2Program()
-	e := EvalGFP(p, db)
+	e := evalGFP(t, p, db)
 	person, firm := p.IndexOf("person"), p.IndexOf("firm")
 	if e.Has(firm, db.Lookup("m")) {
 		t.Fatal("m kept firm without a name link")
@@ -234,7 +249,7 @@ func TestEvaluatorsAgreeProperty(t *testing.T) {
 		db := randomDB(rng, 4+rng.Intn(10))
 		p := randomProgram(rng, 1+rng.Intn(4))
 		e1 := EvalGFPNaive(p, db)
-		e2 := EvalGFP(p, db)
+		e2 := evalGFP(t, p, db)
 		if !e1.Equal(e2) {
 			t.Logf("seed %d: naive and support-count disagree", seed)
 			return false
@@ -262,8 +277,8 @@ func TestEvaluatorsAgreeProperty(t *testing.T) {
 func TestLocalLinks(t *testing.T) {
 	db := figure2DB()
 	p := figure2Program()
-	e := EvalGFP(p, db)
-	local := LocalLinks(db, db.Lookup("g"), func(x graph.ObjectID) []int { return e.TypesOf(x) })
+	e := evalGFP(t, p, db)
+	local := LocalLinks(db, db.Lookup("g"), func(x graph.ObjectID) []int { return e.TypesOf(x) }, PictureOpts{})
 	firm := p.IndexOf("firm")
 	wantOut := TypedLink{Dir: Out, Label: "is-manager-of", Target: firm}
 	found := false
@@ -311,7 +326,7 @@ func TestAssignment(t *testing.T) {
 func TestFromExtent(t *testing.T) {
 	db := figure2DB()
 	p := figure2Program()
-	e := EvalGFP(p, db)
+	e := evalGFP(t, p, db)
 	a := FromExtent(e)
 	for ti := range p.Types {
 		for _, o := range e.Objects(ti) {
@@ -370,7 +385,7 @@ func TestEmptyTypeViaComplexPredicate(t *testing.T) {
 		t.Fatalf("|anything| = %d, want 4", got)
 	}
 	// The specialized evaluators agree: no links means no removal.
-	if got := EvalGFP(p, db).Count(0); got != 4 {
+	if got := evalGFP(t, p, db).Count(0); got != 4 {
 		t.Fatalf("specialized |anything| = %d, want 4", got)
 	}
 }

@@ -31,7 +31,7 @@ func TestValuePredicateGFP(t *testing.T) {
 	`)
 	for name, eval := range map[string]func(*Program, *graph.DB) *Extent{
 		"naive":   EvalGFPNaive,
-		"support": EvalGFP,
+		"support": func(p *Program, db *graph.DB) *Extent { return evalGFP(t, p, db) },
 	} {
 		e := eval(p, db)
 		male, female := p.IndexOf("male"), p.IndexOf("female")
@@ -48,7 +48,7 @@ func TestValuePredicateGFP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !EvalGFP(p, db).Equal(e3) {
+	if !evalGFP(t, p, db).Equal(e3) {
 		t.Fatal("datalog engine disagrees on value predicates")
 	}
 }
@@ -102,7 +102,7 @@ func TestValueCompareOrdering(t *testing.T) {
 func TestLocalLinksOptsValueLabels(t *testing.T) {
 	db := peopleDB()
 	opts := PictureOpts{ValueLabels: map[string]bool{"sex": true}}
-	local := LocalLinksOpts(db, db.Lookup("adam"), func(graph.ObjectID) []int { return nil }, opts)
+	local := LocalLinks(db, db.Lookup("adam"), func(graph.ObjectID) []int { return nil }, opts)
 	set := NewLinkSet(local)
 	if !set[TypedLink{Dir: Out, Label: "sex", Target: AtomicTarget}] {
 		t.Error("plain sex link missing from picture")

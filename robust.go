@@ -118,7 +118,7 @@ func SweepAnalysisContext(ctx context.Context, g *Graph, opts Options) (sw *Swee
 	if err != nil {
 		return nil, err
 	}
-	csw, err := core.SweepContext(ctx, g.db, co)
+	csw, err := core.Sweep(ctx, g.db, co)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +170,7 @@ func PrepareContext(ctx context.Context, g *Graph) (p *Prepared, err error) {
 // at any setting.
 func PrepareOptions(ctx context.Context, g *Graph, opts Options) (p *Prepared, err error) {
 	defer recoverInternal(&err)
-	cp, err := core.PrepareBudget(ctx, g.db, opts.Parallelism, opts.Shards, opts.MemBudget)
+	cp, err := core.Prepare(ctx, g.db, opts.Parallelism, opts.Shards, opts.MemBudget)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +196,7 @@ func ExtractPreparedContext(ctx context.Context, p *Prepared, opts Options) (res
 	if err != nil {
 		return nil, err
 	}
-	cr, err := core.ExtractPreparedContext(ctx, p.prep, co)
+	cr, err := core.ExtractPrepared(ctx, p.prep, co)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +216,7 @@ func SweepPreparedContext(ctx context.Context, p *Prepared, opts Options) (sw *S
 	if err != nil {
 		return nil, err
 	}
-	csw, err := core.SweepPreparedContext(ctx, p.prep, co)
+	csw, err := core.SweepPrepared(ctx, p.prep, co)
 	if err != nil {
 		return nil, err
 	}

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"schemex/internal/cluster"
+	"schemex/internal/compile"
 	"schemex/internal/core"
 	"schemex/internal/defect"
 	"schemex/internal/graph"
@@ -515,7 +516,14 @@ func Check(g *Graph, schema string) (report *CheckReport, err error) {
 	if err != nil {
 		return nil, err
 	}
-	ext := typing.EvalGFP(p, g.db)
+	snap, err := compile.Compile(g.db, 0, 1, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	ext, err := typing.EvalGFP(p, snap, 1, nil)
+	if err != nil {
+		return nil, err
+	}
 	report = &CheckReport{Types: make(map[string]int, len(p.Types))}
 	for ti, t := range p.Types {
 		report.Types[t.Name] = ext.Count(ti)

@@ -121,7 +121,7 @@ func (p *Prepared) Apply(d *Delta) (*Prepared, *ApplyInfo, error) {
 // ApplyContext is Apply with cooperative cancellation.
 func (p *Prepared) ApplyContext(ctx context.Context, d *Delta) (np *Prepared, info *ApplyInfo, err error) {
 	defer recoverInternal(&err)
-	cp, ci, err := p.prep.ApplyContext(ctx, &d.d, 0)
+	cp, ci, err := p.prep.Apply(ctx, &d.d, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -153,7 +153,7 @@ func (p *Prepared) ApplyBatchContext(ctx context.Context, ds ...*Delta) (np *Pre
 			gds = append(gds, &d.d)
 		}
 	}
-	cp, ci, err := p.prep.ApplyBatchContext(ctx, gds, 0)
+	cp, ci, err := p.prep.ApplyBatch(ctx, gds, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -172,18 +172,6 @@ func (p *Prepared) Version() uint64 { return p.prep.Version() }
 // compiled snapshot is partitioned into (see Options.Shards). Sessions
 // derived through Apply inherit the layout.
 func (p *Prepared) NumShards() int { return p.prep.NumShards() }
-
-// DeltaShards maps a delta's object footprint onto the snapshot's shards:
-// the ascending shard indexes holding an object the delta references
-// (RemoveObject footprints include the object's neighbours). exclusive=true
-// means the footprint cannot be confined — the delta names an object this
-// state does not know, so applying it may touch the top of the ID space and
-// grow new shards. Serving layers use the footprint to admit concurrent
-// mutations under per-shard locks; it is advisory, and Apply itself never
-// depends on it.
-func (p *Prepared) DeltaShards(d *Delta) (shards []int, exclusive bool) {
-	return p.prep.DeltaShards(&d.d)
-}
 
 // SetBaseVersion rebases the session version counter, the hook durable
 // recovery uses: a snapshot spilled at version V is re-prepared (version 0),
@@ -241,7 +229,7 @@ func (p *Prepared) EncodeShard(si int) []byte { return p.prep.EncodeShard(si) }
 // access time, or as an immediate error here for a malformed core).
 func PrepareSpilled(ctx context.Context, g *Graph, snapCore []byte, shardFiles []string, opts Options) (p *Prepared, err error) {
 	defer recoverInternal(&err)
-	cp, err := core.PrepareSpilledContext(ctx, g.db, snapCore, shardFiles, opts.MemBudget)
+	cp, err := core.PrepareSpilled(ctx, g.db, snapCore, shardFiles, opts.MemBudget)
 	if err != nil {
 		return nil, err
 	}
