@@ -53,6 +53,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzReadText$$' -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -fuzz='^FuzzFromJSON$$' -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -fuzz='^FuzzParseDelta$$' -fuzztime $(FUZZTIME) ./internal/graph/
+	$(GO) test -fuzz='^FuzzCoalesce$$' -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/typing/
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/datalog/
 	$(GO) test -fuzz='^FuzzParsePath$$' -fuzztime $(FUZZTIME) ./internal/query/

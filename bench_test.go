@@ -534,8 +534,8 @@ func BenchmarkStage1Parallelism(b *testing.B) {
 }
 
 // BenchmarkStage2Parallelism ablates the Stage 2 worker pool on DB7 (303
-// perfect types): distance-matrix seeding, batched row repair, and touched
-// recomputation, serial vs one worker per CPU.
+// perfect types), serial vs one worker per CPU. The pool only seeds the
+// distance matrix; the merge steps after it run inline at either setting.
 func BenchmarkStage2Parallelism(b *testing.B) {
 	p := synth.Presets()[6]
 	db, err := p.Build()

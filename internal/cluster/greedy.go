@@ -38,26 +38,27 @@ type Config struct {
 	// available from Err. Checks never alter any computed distance or move,
 	// so the merge sequence stays bit-identical.
 	Check func() error
-	// Parallelism bounds the worker goroutines used for distance-matrix
-	// seeding, touched-row recomputation, and batched best-move repair;
-	// <= 0 means one per CPU, 1 runs everything inline. The merge sequence
-	// and every reported cost are bit-identical at any setting (per-shard
-	// bests are folded with index tie-breaks).
+	// Parallelism bounds the worker goroutines used to seed the distance
+	// matrix, the engine's only O(n²) phase; <= 0 means one per CPU, 1 seeds
+	// inline. Merge steps always run inline: each one does O(n) work per
+	// changed slot, less than a fan-out costs. The merge sequence and every
+	// reported cost are bit-identical at any setting (each seeded row has a
+	// single writer).
 	Parallelism int
 }
 
-func (c Config) pinned(slot int) bool {
+func (c *Config) pinned(slot int) bool {
 	return slot < len(c.Pinned) && c.Pinned[slot]
 }
 
-func (c Config) delta() Delta {
+func (c *Config) delta() Delta {
 	if c.Delta.Func == nil {
 		return Delta2
 	}
 	return c.Delta
 }
 
-func (c Config) emptyBias() float64 {
+func (c *Config) emptyBias() float64 {
 	if c.EmptyBias == 0 {
 		return 1
 	}
@@ -86,8 +87,7 @@ type Step struct {
 // popcount (bitset.XorCount) and the §5.1 hypercube projection is a column
 // rewrite — no map walks on the hot path.
 type Greedy struct {
-	cfg     Config
-	workers int
+	cfg Config
 
 	bases []typing.TypedLink // base id -> representative link (Target meaningless)
 	// Base interning. With a compiled snapshot, plain bases (no sort or
@@ -132,16 +132,21 @@ type Greedy struct {
 	trace          []Step
 
 	// Per-row best-move caches: bestCost[k]/bestTo[k] describe the cheapest
-	// move FROM slot k under the current state; rowValid[k] marks rows whose
-	// cache is current. Merges invalidate only the affected rows, turning
-	// the cubic all-pair rescan into a near-quadratic pass in practice.
+	// move FROM slot k under the current state — the least (cost,
+	// destination) pair, EmptySlot ordering before every slot, or (+Inf,
+	// noMove) when no finite move exists; rowValid[k] marks rows whose cache
+	// is current. A merge repairs most rows in place and leaves only a few
+	// to rescan (see repairRows), so a step costs O(n) per changed slot
+	// rather than a rescan of every row.
 	bestCost []float64
 	bestTo   []int
 	rowValid []bool
 
-	rowQueue    []int  // scratch: stale rows gathered per Step
 	touchedMark []bool // scratch: touched-slot membership during a move
 }
+
+// noMove is the cached destination of a row with no legal move.
+const noMove = -2
 
 // NewGreedy initializes the engine from a Stage 1 program. Type weights must
 // be set (home-class sizes); link targets refer to type indices of p.
@@ -164,7 +169,6 @@ func NewGreedy(p *typing.Program, snap *compile.Snapshot, cfg Config, w *Warm) *
 	n := len(p.Types)
 	g := &Greedy{
 		cfg:         cfg,
-		workers:     par.Workers(cfg.Parallelism),
 		snap:        snap,
 		prog:        p,
 		stride:      n + 1,
@@ -216,6 +220,7 @@ func NewGreedy(p *typing.Program, snap *compile.Snapshot, cfg Config, w *Warm) *
 	// renaming argument in state.go), or aliases the parent triangle outright
 	// when the mapping is the identity.
 	tri := n * (n - 1) / 2
+	workers := par.Workers(cfg.Parallelism)
 	switch {
 	case w.usable(n) && w.isIdentity(n):
 		g.dist = w.State.dist
@@ -233,7 +238,7 @@ func NewGreedy(p *typing.Program, snap *compile.Snapshot, cfg Config, w *Warm) *
 		g.seedCopied = clean * (clean - 1) / 2
 		g.seedCount = tri - g.seedCopied
 		g.dist = make([]uint32, tri)
-		g.err = par.DoItemsErr(g.workers, n-1, func(i int) error {
+		g.err = par.DoItemsErr(workers, n-1, func(i int) error {
 			if cfg.Check != nil {
 				if err := cfg.Check(); err != nil {
 					return err
@@ -254,7 +259,7 @@ func NewGreedy(p *typing.Program, snap *compile.Snapshot, cfg Config, w *Warm) *
 	default:
 		g.seedCount = tri
 		g.dist = make([]uint32, tri)
-		g.err = par.DoItemsErr(g.workers, n-1, func(i int) error {
+		g.err = par.DoItemsErr(workers, n-1, func(i int) error {
 			if cfg.Check != nil {
 				if err := cfg.Check(); err != nil {
 					return err
@@ -417,25 +422,18 @@ func (g *Greedy) Step() (Step, bool) {
 			return Step{}, false
 		}
 	}
-	// Refresh stale row caches as a parallel batch: each row is an
-	// independent scan writing only its own cache slot, so the batch is
-	// race-free and identical to recomputing rows one at a time.
-	rows := g.rowQueue[:0]
-	for k := 0; k < g.n; k++ {
-		if g.active[k] && !g.cfg.pinned(k) && !g.rowValid[k] {
-			rows = append(rows, k)
-		}
-	}
-	g.rowQueue = rows
-	par.DoItems(g.workers, len(rows), func(ri int) { g.computeRow(rows[ri]) })
-
+	// Rescan stale rows on the way: a row scan writes only its own cache, so
+	// refreshing row k just before reading it equals refreshing all first.
 	bestCost := math.Inf(1)
-	bestFrom, bestTo := -1, -2
+	bestFrom, bestTo := -1, noMove
 	for k := 0; k < g.n; k++ {
 		if !g.active[k] || g.cfg.pinned(k) {
 			continue
 		}
-		if g.bestTo[k] == -2 {
+		if !g.rowValid[k] {
+			g.computeRow(k)
+		}
+		if g.bestTo[k] == noMove {
 			continue // no legal move from k
 		}
 		cost, to := g.bestCost[k], g.bestTo[k]
@@ -473,36 +471,42 @@ func (g *Greedy) RunTo(k int) int {
 	return g.nAct
 }
 
-// computeRow refreshes the cached cheapest move from slot k: the best
-// merge destination (ties to the smallest slot, matching the original
-// full-scan ordering) and, when allowed, the empty move.
+// computeRow rescans the cheapest move from slot k: every merge
+// destination and, when allowed, the empty move.
 func (g *Greedy) computeRow(k int) {
-	delta := g.cfg.delta()
-	best := math.Inf(1)
-	bestTo := -2
+	g.bestCost[k], g.bestTo[k] = math.Inf(1), noMove
 	for m := 0; m < g.n; m++ {
-		if m == k || !g.active[m] {
-			continue
-		}
-		d := int(g.distAt(m, k))
-		cost := delta.Eval(g.weight[m], g.weight[k], d, g.L)
-		if cost < best || (cost == best && m < bestTo) {
-			best, bestTo = cost, m
+		if m != k && g.active[m] {
+			g.offer(k, m)
 		}
 	}
 	if g.cfg.AllowEmpty {
-		d := g.size[k]
+		g.offer(k, EmptySlot)
+	}
+	g.rowValid[k] = true
+}
+
+// offer folds the move k→to into row k's cache, keeping the least (cost,
+// destination) pair: ties go to the smallest destination, EmptySlot first,
+// matching the original full-scan ordering.
+func (g *Greedy) offer(k, to int) {
+	if cost := g.moveCost(k, to); cost < g.bestCost[k] || (cost == g.bestCost[k] && to < g.bestTo[k]) {
+		g.bestCost[k], g.bestTo[k] = cost, to
+	}
+}
+
+// moveCost is the δ cost of moving slot k's objects into slot to, or into
+// the empty type when to is EmptySlot.
+func (g *Greedy) moveCost(k, to int) float64 {
+	delta := g.cfg.delta()
+	if to == EmptySlot {
 		w1 := len(g.inEmpty)
 		if w1 == 0 {
 			w1 = 1
 		}
-		cost := delta.Eval(w1, g.weight[k], d, g.L) * g.cfg.emptyBias()
-		if cost < best || (cost == best && EmptySlot < bestTo) {
-			best, bestTo = cost, EmptySlot
-		}
+		return delta.Eval(w1, g.weight[k], g.size[k], g.L) * g.cfg.emptyBias()
 	}
-	g.bestCost[k], g.bestTo[k] = best, bestTo
-	g.rowValid[k] = true
+	return delta.Eval(g.weight[to], g.weight[k], int(g.distAt(to, k)), g.L)
 }
 
 // merge moves the objects of slot j into slot i: i's definition survives
@@ -519,52 +523,48 @@ func (g *Greedy) merge(i, j int) {
 	}
 	g.active[j] = false
 	g.nAct--
-	touched := g.project(j, i)
-	// i's move costs changed (its weight grew) even if its definition did
-	// not; treat it as touched so its distances and dependents refresh.
-	if !g.touchedMark[i] {
-		g.touchedMark[i] = true
-		touched = insertSorted(touched, i)
-	}
-	g.recompute(touched)
-	g.repairRows(touched, j, i)
+	touched, flips := g.project(j, i)
+	g.recompute(touched, flips)
+	g.repairRows(touched, i, j)
 	for _, c := range touched {
 		g.touchedMark[c] = false
 	}
-	g.rowValid[i] = false
 }
 
-// repairRows repairs the row caches after merging j into i. Stale
-// information comes from three places: j is gone, i's weight grew (all move
-// costs into i changed), and the projection changed the touched clusters'
-// definitions, hence every distance to a touched cluster. A row must be
-// recomputed when its cached destination is any of those; otherwise the
-// only way its best can IMPROVE is via one of the changed destinations,
-// which are folded in directly (in ascending slot order, preserving the
-// smallest-slot tie-break). Each row touches only its own cache entries, so
-// rows are repaired in parallel.
-func (g *Greedy) repairRows(touched []int, j, i int) {
-	delta := g.cfg.delta()
-	par.DoItems(g.workers, g.n, func(k int) {
+// repairRows repairs the row caches after merging j into i. A move's cost
+// reads the mover's weight, the destination's weight and their distance, so
+// the merge changed the moves out of i and out of the touched slots (whose
+// definitions changed), and the moves into j (gone), into i (its weight
+// grew) and into the touched slots; nothing else. The rows of i and of the
+// touched slots are rescanned at the next Step. Every other row k kept all
+// its cells but those into j, i and the touched slots, so its cached best
+// is still the least of the cells that did not change. The row re-evaluates
+// only that best: it is rescanned if the best was j, or if the best's cost
+// rose (an unchanged cell may now undercut it); otherwise it keeps the best
+// at its new cost and folds in the moves into i and the touched slots.
+func (g *Greedy) repairRows(touched []int, i, j int) {
+	for k := 0; k < g.n; k++ {
 		if !g.active[k] || !g.rowValid[k] {
-			return
+			continue
 		}
 		to := g.bestTo[k]
-		if k == i || g.touchedMark[k] || to == j || to == i || (to >= 0 && g.touchedMark[to]) {
+		if k == i || g.touchedMark[k] || to == j {
 			g.rowValid[k] = false
-			return
+			continue
 		}
-		for _, t := range touched {
-			if t == k || !g.active[t] {
+		if to != noMove {
+			cost := g.moveCost(k, to)
+			if cost > g.bestCost[k] {
+				g.rowValid[k] = false
 				continue
 			}
-			d := int(g.distAt(t, k))
-			cost := delta.Eval(g.weight[t], g.weight[k], d, g.L)
-			if cost < g.bestCost[k] || (cost == g.bestCost[k] && t < g.bestTo[k]) {
-				g.bestCost[k], g.bestTo[k] = cost, t
-			}
+			g.bestCost[k] = cost
 		}
-	})
+		g.offer(k, i)
+		for _, t := range touched {
+			g.offer(k, t)
+		}
+	}
 }
 
 // moveToEmpty retires slot i to the empty type: its objects become
@@ -579,8 +579,8 @@ func (g *Greedy) moveToEmpty(i int) {
 	}
 	g.active[i] = false
 	g.nAct--
-	touched := g.project(i, EmptySlot)
-	g.recompute(touched)
+	touched, flips := g.project(i, EmptySlot)
+	g.recompute(touched, flips)
 	for _, c := range touched {
 		g.touchedMark[c] = false
 	}
@@ -595,65 +595,74 @@ func (g *Greedy) moveToEmpty(i int) {
 // removed (repl == EmptySlot). On the hypercube this is a column rewrite:
 // for every base, a bit in old's column is cleared and, for a merge, the
 // bit in repl's column is set (collapsing duplicates for free). It returns
-// the sorted slots whose definitions changed, with touchedMark set for each.
-func (g *Greedy) project(old, repl int) []int {
-	var touched []int
+// the sorted slots whose definitions changed, with touchedMark set for each,
+// and for each of them the universe bits it flipped.
+func (g *Greedy) project(old, repl int) (touched []int, flips [][]int) {
 	colOld := old + 1
 	for c := 0; c < g.n; c++ {
 		if !g.active[c] {
 			continue
 		}
 		s := g.set[c]
-		changed := false
+		var flipped []int
 		for b := range g.bases {
 			id := b*g.stride + colOld
 			if !s.Test(id) {
 				continue
 			}
 			s.Clear(id)
-			if repl != EmptySlot {
-				s.Set(b*g.stride + repl + 1)
+			flipped = append(flipped, id)
+			if repl == EmptySlot {
+				continue
 			}
-			changed = true
+			if to := b*g.stride + repl + 1; !s.Test(to) {
+				s.Set(to)
+				flipped = append(flipped, to)
+			}
 		}
-		if changed {
+		if flipped != nil {
 			g.size[c] = s.Count()
 			g.touchedMark[c] = true
 			touched = append(touched, c)
+			flips = append(flips, flipped)
 		}
 	}
-	return touched
-}
-
-func insertSorted(xs []int, v int) []int {
-	i := 0
-	for i < len(xs) && xs[i] < v {
-		i++
-	}
-	xs = append(xs, 0)
-	copy(xs[i+1:], xs[i:])
-	xs[i] = v
-	return xs
+	return touched, flips
 }
 
 // recompute refreshes the distance cells incident to the touched slots
-// (touchedMark must be set for them). Work is sharded by touched slot; a
-// touched–touched pair is computed only by its larger member, so every
-// matrix cell has exactly one writer and the batch is race-free.
-func (g *Greedy) recompute(touched []int) {
-	par.DoItems(g.workers, len(touched), func(ti int) {
-		c := touched[ti]
+// (touchedMark must be set for them; flips[t] lists the bits touched[t]
+// flipped). A cell between two touched slots is recounted from both
+// definitions, once, by its larger member. Any other cell (c, x) changed
+// only through c's flipped bits, each of which moves the distance by one:
+// down where x now agrees with c on that bit, up where it now disagrees.
+// Distances do not read weights, so a merge's survivor needs no recount
+// unless the projection changed its definition.
+func (g *Greedy) recompute(touched []int, flips [][]int) {
+	for ti, c := range touched {
 		sc := g.set[c]
 		for x := 0; x < g.n; x++ {
 			if x == c || !g.active[x] {
 				continue
 			}
-			if g.touchedMark[x] && x > c {
-				continue // the (c, x) cell is x's job
+			sx := g.set[x]
+			if g.touchedMark[x] {
+				if x < c {
+					g.setDist(c, x, uint32(sc.XorCount(sx)))
+				}
+				continue
 			}
-			g.setDist(c, x, uint32(sc.XorCount(g.set[x])))
+			d := g.distAt(c, x)
+			for _, b := range flips[ti] {
+				if sx.Test(b) == sc.Test(b) {
+					d--
+				} else {
+					d++
+				}
+			}
+			g.setDist(c, x, d)
 		}
-	})
+	}
 }
 
 // Program materializes the current typing: the active slots become a compact

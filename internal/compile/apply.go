@@ -325,9 +325,10 @@ func applyIncremental(parent *Snapshot, child *graph.DB, eff *graph.DeltaEffect,
 			}
 		}
 	}
-	// Spill the rebuilt dirty shards through the codec and hand them to the
-	// lineage's residency manager; clean shards already share the parent's
-	// refs, so from here the child pages exactly like its parent.
+	// Hand the rebuilt dirty shards to the lineage's residency manager, which
+	// spills them through the codec when it has a budget; clean shards
+	// already share the parent's refs, so from here the child pages exactly
+	// like its parent.
 	if s.res != nil {
 		if err := s.attach(s.res); err != nil {
 			return nil, err

@@ -7,13 +7,16 @@
 // non-resident shard faults it back in from the file, checksum-verified.
 //
 // Invariants:
-//   - A shard's file is written exactly once, when the ref is created
-//     (res.add) or adopted from a serving-layer spill (res.adopt). Shards
-//     are immutable, so the file is never stale and eviction is a pointer
-//     drop, never a write.
-//   - A ref is in the LRU iff it is resident and unpinned; only LRU members
-//     are ever evicted. Pinned shards can therefore overcommit the budget:
-//     pins win, the budget is a target, not a hard cap.
+//   - A shard's file is written exactly once, when a budgeted manager
+//     creates the ref (res.add), or comes from a serving-layer spill
+//     (res.adopt). Shards are immutable, so the file is never stale and
+//     eviction is a pointer drop, never a write. A manager without a budget
+//     never evicts, so it writes no file: its refs only fault adopted
+//     shards in.
+//   - A ref is in the LRU iff the manager has a budget and the shard is
+//     resident and unpinned; only LRU members are ever evicted. Pinned
+//     shards can therefore overcommit the budget: pins win, the budget is a
+//     target, not a hard cap.
 //   - Readers holding a *Shard (or slices into one) stay valid across
 //     eviction — the GC keeps the arrays alive for exactly as long as
 //     anyone uses them. Pinning is an anti-thrash measure for phases that
@@ -105,12 +108,12 @@ type shardMeta struct {
 // Residency owns the resident-shard budget of one snapshot lineage (a root
 // Prepare and every child derived through Apply share the manager, so the
 // budget bounds the lineage's live CSR bytes, not each snapshot's). Spill
-// files for shards it creates live in a private temp directory removed when
-// the manager is garbage collected; adopted files (a serving layer's
-// durable shard spill) are read-only and never deleted here.
+// files for shards a budgeted manager creates live in a private temp
+// directory removed once the lineage is garbage collected; adopted files (a
+// serving layer's durable shard spill) are read-only and never deleted here.
 type Residency struct {
-	budget int64 // <= 0: unlimited (lazy loading without eviction)
-	dir    string
+	budget int64     // <= 0: unlimited (lazy loading without eviction)
+	dir    *spillDir // nil without a budget: nothing is ever spilled
 
 	mu   sync.Mutex
 	used int64
@@ -118,18 +121,29 @@ type Residency struct {
 	lru  *list.List // of *shardRef; front = most recently used
 }
 
-// newResidency creates a manager with its spill directory. budget <= 0
-// means unlimited: shards still load lazily through refs (LoadSnapshot
-// needs that), but nothing is ever evicted.
+// spillDir is a budgeted manager's private temp directory. It carries the
+// finalizer that removes the directory, and it stays outside the cycle the
+// manager forms with its refs (Residency → lru → shardRef → Residency):
+// Go never runs a finalizer on an object that can reach itself, so a
+// finalizer on the manager would never run.
+type spillDir struct{ path string }
+
+// newResidency creates a manager. budget <= 0 means unlimited: shards still
+// load lazily through refs (LoadSnapshot needs that), but nothing is ever
+// evicted or spilled, so no spill directory is made.
 func newResidency(budget int64) (*Residency, error) {
-	dir, err := os.MkdirTemp("", "schemex-shards-")
+	r := &Residency{budget: budget, lru: list.New()}
+	if budget <= 0 {
+		return r, nil
+	}
+	path, err := os.MkdirTemp("", "schemex-shards-")
 	if err != nil {
 		return nil, fmt.Errorf("compile: residency spill dir: %w", err)
 	}
-	r := &Residency{budget: budget, dir: dir, lru: list.New()}
-	// The snapshot lineage holds the manager for as long as any snapshot
+	// The snapshot lineage reaches the directory for as long as any snapshot
 	// lives; once the last one is collected the spill files are garbage.
-	runtime.SetFinalizer(r, func(r *Residency) { os.RemoveAll(r.dir) })
+	r.dir = &spillDir{path: path}
+	runtime.SetFinalizer(r.dir, func(d *spillDir) { os.RemoveAll(d.path) })
 	return r, nil
 }
 
@@ -141,11 +155,10 @@ func newResidency(budget int64) (*Residency, error) {
 // is why a faulted shard (owned arrays, see DecodeShard) needs no rebinding
 // per snapshot.
 type shardRef struct {
-	res   *Residency
-	file  string
-	owned bool  // file lives in res.dir and is managed by the finalizer
-	size  int64 // written and read under res.mu once the ref is published
-	meta  shardMeta
+	res  *Residency
+	file string
+	size int64 // written and read under res.mu once the ref is published
+	meta shardMeta
 
 	mu   sync.Mutex // serializes fault decode for this ref
 	pins int
@@ -161,26 +174,31 @@ func shardSize(sh *Shard) int64 {
 		len(sh.InFrom)+len(sh.InLab)+len(sh.Pos)+len(sh.Complex)) + len(sh.Sorts))
 }
 
-// add registers a freshly built shard: its spill file is written through the
-// codec immediately (write-once; eviction never writes), and the shard
-// enters the LRU resident. Compile attaches every shard this way at the end
-// of its fill, and Apply attaches each rebuilt dirty shard.
+// add registers a freshly built shard resident. Under a budget its spill
+// file is written through the codec immediately (write-once; eviction never
+// writes) and the shard enters the LRU; without one the shard can never be
+// evicted, so it gets neither. Compile attaches every shard this way at the
+// end of its fill, and Apply attaches each rebuilt dirty shard.
 func (r *Residency) add(sh *Shard) (*shardRef, error) {
-	r.mu.Lock()
-	r.seq++
-	name := filepath.Join(r.dir, fmt.Sprintf("s%d.shard", r.seq))
-	r.mu.Unlock()
-	if err := os.WriteFile(name, EncodeShard(sh), 0o644); err != nil {
-		return nil, fmt.Errorf("compile: spilling shard: %w", err)
-	}
 	ref := &shardRef{
-		res: r, file: name, owned: true, size: shardSize(sh),
+		res: r, size: shardSize(sh),
 		meta: shardMeta{posBase: sh.PosBase, posN: sh.PosN, nOut: len(sh.OutTo), nIn: len(sh.InFrom)},
+	}
+	if r.budget > 0 {
+		r.mu.Lock()
+		r.seq++
+		ref.file = filepath.Join(r.dir.path, fmt.Sprintf("s%d.shard", r.seq))
+		r.mu.Unlock()
+		if err := os.WriteFile(ref.file, EncodeShard(sh), 0o644); err != nil {
+			return nil, fmt.Errorf("compile: spilling shard: %w", err)
+		}
 	}
 	r.mu.Lock()
 	ref.ptr.Store(sh)
 	r.used += ref.size
-	ref.elem = r.lru.PushFront(ref)
+	if r.budget > 0 {
+		ref.elem = r.lru.PushFront(ref)
+	}
 	r.evictLocked()
 	r.mu.Unlock()
 	return ref, nil
@@ -296,7 +314,7 @@ func (ref *shardRef) fault(pin bool) *Shard {
 		ref.size = size
 		ref.ptr.Store(sh)
 		r.used += ref.size
-		if ref.pins == 0 {
+		if ref.pins == 0 && r.budget > 0 {
 			ref.elem = r.lru.PushFront(ref)
 		}
 		if pin {
@@ -329,18 +347,18 @@ func (ref *shardRef) unpin() {
 	r := ref.res
 	r.mu.Lock()
 	ref.pins--
-	if ref.pins == 0 && ref.ptr.Load() != nil && ref.elem == nil {
+	if ref.pins == 0 && r.budget > 0 && ref.ptr.Load() != nil && ref.elem == nil {
 		ref.elem = r.lru.PushFront(ref)
 		r.evictLocked()
 	}
 	r.mu.Unlock()
 }
 
-// attach moves a fully built snapshot's shards behind residency refs: every
-// shard's spill file is written through the codec and the resident copies
-// become evictable. Until attach runs the shards are plain resident — the
-// compile fill span and Apply's rebuilds operate on pinned-equivalent
-// state by construction.
+// attach moves a fully built snapshot's shards behind residency refs: under
+// a budget every shard's spill file is written through the codec and the
+// resident copies become evictable. Until attach runs the shards are plain
+// resident — the compile fill span and Apply's rebuilds operate on
+// pinned-equivalent state by construction.
 func (s *Snapshot) attach(res *Residency) error {
 	if s.refs == nil {
 		s.refs = make([]*shardRef, len(s.shards))

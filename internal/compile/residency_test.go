@@ -1,9 +1,15 @@
 package compile
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"schemex/internal/graph"
 )
@@ -230,5 +236,117 @@ func TestMemBudgetEnvOverride(t *testing.T) {
 	s := compileDB(t, chainDB(t, 512))
 	if s.res == nil {
 		t.Fatal("env override did not attach a residency manager")
+	}
+}
+
+// spillEntries counts the regular files and the directories named like a
+// residency spill directory under root. A finalizer may remove a spill
+// directory mid-walk; whatever vanished is not counted.
+func spillEntries(t *testing.T, root string) (files, dirs int) {
+	t.Helper()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if ok, _ := filepath.Match("schemex-shards-*", d.Name()); ok {
+				dirs++
+			}
+		} else {
+			files++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files, dirs
+}
+
+// TestDroppedLineageRemovesSpillDir: once every snapshot of a budgeted
+// lineage is unreachable, the garbage collector removes the lineage's spill
+// directory. The manager forms a cycle with its LRU of refs, so the
+// finalizer that removes the directory must not sit on the manager: Go
+// never finalizes an object that can reach itself.
+func TestDroppedLineageRemovesSpillDir(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	db := chainDB(t, 256)
+	lineages := make([]*Snapshot, 5)
+	for i := range lineages {
+		s, err := Compile(db, 4, 1, 1<<30, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.res == nil {
+			t.Fatal("budgeted compile did not attach a residency manager")
+		}
+		lineages[i] = s
+	}
+	if _, dirs := spillEntries(t, tmp); dirs != 5 {
+		t.Fatalf("%d spill dirs after 5 budgeted compiles, want 5", dirs)
+	}
+	runtime.KeepAlive(lineages) // drop all five lineages only from here on
+	for round := 0; round < 50; round++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond) // let the finalizer goroutine run
+		if _, dirs := spillEntries(t, tmp); dirs == 0 {
+			return
+		}
+	}
+	_, dirs := spillEntries(t, tmp)
+	t.Fatalf("%d of 5 dropped lineages still hold a spill dir after 50 GC rounds", dirs)
+}
+
+// TestUnbudgetedLineageWritesNoSpill: a lineage without a memory budget
+// (here a LoadSnapshot over adopted shard files, as a recovered durable
+// session has) never evicts, so the shards its deltas rebuild stay resident
+// and nothing is written to a spill file.
+func TestUnbudgetedLineageWritesNoSpill(t *testing.T) {
+	// The mem-budget CI leg sets this override; it would budget the lineage.
+	t.Setenv(TestMemBudgetEnv, "")
+	tmp := t.TempDir()
+	spill, shards := filepath.Join(tmp, "spill"), filepath.Join(tmp, "shards")
+	for _, dir := range []string{spill, shards} {
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := chainDB(t, 256)
+	s, err := Compile(db, 4, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := writeShardFiles(t, s, shards)
+	t.Setenv("TMPDIR", spill)
+	cur, err := LoadSnapshot(db, s.EncodeCore(), files, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.MemBudget() != 0 {
+		t.Fatalf("MemBudget() = %d, want an unbudgeted lineage", cur.MemBudget())
+	}
+	for step := 0; step < 10; step++ {
+		var d graph.Delta
+		d.AddLink(fmt.Sprintf("n%d", step*13), fmt.Sprintf("n%d", 255-step*17), "next")
+		next, info, err := Apply(cur, &d, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !info.Shared || next.res != cur.res {
+			t.Fatalf("step %d: expected a shared apply in the same lineage", step)
+		}
+		cur = next
+	}
+	scratch, err := Compile(cur.DB().Clone(), 4, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapEqual(t, cur, scratch, "after 10 deltas")
+	if n, dirs := spillEntries(t, spill); n != 0 || dirs != 0 {
+		t.Fatalf("unbudgeted lineage wrote %d spill files in %d spill dirs, want none", n, dirs)
 	}
 }

@@ -101,14 +101,22 @@ func TestMergeDeltasConcatenates(t *testing.T) {
 	}
 }
 
-func TestCoalesceDirected(t *testing.T) {
+// coalesceCase is one directed Coalesce scenario over coalesceBase (or, for
+// onBase2, over coalesceBase plus a lone3 -only-> lone link).
+type coalesceCase struct {
+	name string
+	ds   []*Delta
+	// wantOps, when >= 0, pins the coalesced op count.
+	wantOps int
+	onBase2 bool
+}
+
+// directedCoalesceCases lists the hand-picked cancellation and bail-out
+// scenarios; TestCoalesceDirected checks them and FuzzCoalesce seeds from
+// them.
+func directedCoalesceCases() []coalesceCase {
 	v := sval("v")
-	cases := []struct {
-		name string
-		ds   []*Delta
-		// wantOps, when >= 0, pins the coalesced op count.
-		wantOps int
-	}{
+	return []coalesceCase{
 		{
 			name:    "add-remove cancels",
 			ds:      []*Delta{new(Delta).AddLink("a", "lone", "tmp"), new(Delta).RemoveLink("a", "lone", "tmp")},
@@ -179,16 +187,20 @@ func TestCoalesceDirected(t *testing.T) {
 			},
 			// Sequentially the final AddLink fails: lone3 is atomic.
 			wantOps: -1,
+			onBase2: true,
 		},
 	}
+}
+
+func TestCoalesceDirected(t *testing.T) {
 	base := coalesceBase()
 	base2 := base.Clone()
 	base2.Link("lone3", "lone", "only")
 	base2.Freeze()
-	for _, tc := range cases {
+	for _, tc := range directedCoalesceCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			b := base
-			if tc.name == "atomic declaration after removing last out-edge" {
+			if tc.onBase2 {
 				b = base2
 			}
 			checkCoalesce(t, b, tc.ds)
@@ -247,13 +259,18 @@ func TestCoalesceErrors(t *testing.T) {
 	}
 }
 
+// The tiny op universe of randomDeltas and FuzzCoalesce: coalesceBase's
+// names, labels and values plus fresh ones.
+var (
+	deltaNames  = []string{"root", "a", "b", "a-name", "lone", "n1", "n2", "n3"}
+	deltaLabels = []string{"child", "peer", "name", "l1", "l2"}
+	deltaValues = []Value{sval("alice"), sval("island"), sval("v1"), sval("v2")}
+)
+
 // randomDeltas generates a random op sequence over a tiny name universe and
 // splits it into 1–4 deltas. Ops are intentionally allowed to be invalid so
 // the bail-vs-sequential-error property is exercised.
 func randomDeltas(rng *rand.Rand) []*Delta {
-	names := []string{"root", "a", "b", "a-name", "lone", "n1", "n2", "n3"}
-	labels := []string{"child", "peer", "name", "l1", "l2"}
-	values := []Value{sval("alice"), sval("island"), sval("v1"), sval("v2")}
 	pick := func(ss []string) string { return ss[rng.Intn(len(ss))] }
 	nOps := 1 + rng.Intn(14)
 	cuts := rng.Intn(4)
@@ -262,13 +279,13 @@ func randomDeltas(rng *rand.Rand) []*Delta {
 	for i := 0; i < nOps; i++ {
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3:
-			d.AddLink(pick(names), pick(names), pick(labels))
+			d.AddLink(pick(deltaNames), pick(deltaNames), pick(deltaLabels))
 		case 4, 5, 6:
-			d.RemoveLink(pick(names), pick(names), pick(labels))
+			d.RemoveLink(pick(deltaNames), pick(deltaNames), pick(deltaLabels))
 		case 7, 8:
-			d.AddAtomic(pick(names), values[rng.Intn(len(values))])
+			d.AddAtomic(pick(deltaNames), deltaValues[rng.Intn(len(deltaValues))])
 		default:
-			d.RemoveObject(pick(names))
+			d.RemoveObject(pick(deltaNames))
 		}
 		if cuts > 0 && rng.Intn(nOps) < 2 {
 			ds = append(ds, d)

@@ -143,3 +143,104 @@ func FuzzParseDelta(f *testing.F) {
 		}
 	})
 }
+
+// Coalesce fuzz inputs are read as delta ops over the randomDeltas universe,
+// fuzzOpLen bytes per op: a kind byte (a deltaKind, or fuzzCut to start the
+// next delta), then from/to/label indices for a link op, or name/value
+// indices for an atomic or remove op, each taken modulo its universe.
+// Cuts past the third are ignored, so an input makes 1–4 deltas; ops past
+// fuzzMaxOps are dropped to keep each run small.
+const (
+	fuzzOpLen  = 4
+	fuzzCut    = 4
+	fuzzMaxOps = 64
+)
+
+func decodeDeltas(data []byte) []*Delta {
+	if len(data) > fuzzMaxOps*fuzzOpLen {
+		data = data[:fuzzMaxOps*fuzzOpLen]
+	}
+	name := func(b byte) string { return deltaNames[int(b)%len(deltaNames)] }
+	ds := []*Delta{new(Delta)}
+	for ; len(data) >= fuzzOpLen; data = data[fuzzOpLen:] {
+		d := ds[len(ds)-1]
+		switch deltaKind(data[0] % (fuzzCut + 1)) {
+		case opAddLink:
+			d.AddLink(name(data[1]), name(data[2]), deltaLabels[int(data[3])%len(deltaLabels)])
+		case opRemoveLink:
+			d.RemoveLink(name(data[1]), name(data[2]), deltaLabels[int(data[3])%len(deltaLabels)])
+		case opAddAtomic:
+			d.AddAtomic(name(data[1]), deltaValues[int(data[2])%len(deltaValues)])
+		case opRemoveObject:
+			d.RemoveObject(name(data[1]))
+		default:
+			if len(ds) < 4 {
+				ds = append(ds, new(Delta))
+			}
+		}
+	}
+	return ds
+}
+
+// encodeDeltas is the inverse of decodeDeltas. rename first maps names,
+// labels and value texts outside the universe onto ones inside it.
+func encodeDeltas(tb testing.TB, ds []*Delta, rename map[string]string) []byte {
+	tb.Helper()
+	index := func(universe []string, s string) byte {
+		if r, ok := rename[s]; ok {
+			s = r
+		}
+		for i, u := range universe {
+			if u == s {
+				return byte(i)
+			}
+		}
+		tb.Fatalf("%q is outside the fuzz universe %q", s, universe)
+		return 0
+	}
+	var valueTexts []string
+	for _, v := range deltaValues {
+		valueTexts = append(valueTexts, v.Text)
+	}
+	var out []byte
+	for di, d := range ds {
+		if di > 0 {
+			out = append(out, fuzzCut, 0, 0, 0)
+		}
+		for _, op := range d.ops {
+			switch op.kind {
+			case opAddLink, opRemoveLink:
+				out = append(out, byte(op.kind), index(deltaNames, op.from), index(deltaNames, op.to), index(deltaLabels, op.label))
+			case opAddAtomic:
+				out = append(out, byte(op.kind), index(deltaNames, op.name), index(valueTexts, op.value.Text), 0)
+			default:
+				out = append(out, byte(op.kind), index(deltaNames, op.name), 0, 0)
+			}
+		}
+	}
+	return out
+}
+
+// FuzzCoalesce checks batch coalescing against sequential apply on
+// coalesceBase: Coalesce must bail exactly when applying the deltas one at a
+// time fails, and otherwise land on a bit-identical database (checkCoalesce).
+// The corpus starts from the directed cases, with their fresh names, labels
+// and values renamed onto fresh ones of the universe.
+func FuzzCoalesce(f *testing.F) {
+	rename := map[string]string{
+		"fresh": "n1", "lone2": "n2", "lone3": "n3", // objects absent from the base
+		"tmp": "l1", "x": "l1", "y": "l2", "extra": "l1", "only": "l1", // labels absent from the base
+		"v": "v1",
+	}
+	for _, tc := range directedCoalesceCases() {
+		seed := encodeDeltas(f, tc.ds, rename)
+		if got, want := MergeDeltas(decodeDeltas(seed)...).Len(), MergeDeltas(tc.ds...).Len(); got != want {
+			f.Fatalf("%s: seed decodes to %d ops, want %d", tc.name, got, want)
+		}
+		f.Add(seed)
+	}
+	base := coalesceBase()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkCoalesce(t, base, decodeDeltas(data))
+	})
+}
