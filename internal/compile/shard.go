@@ -4,8 +4,7 @@
 // generalizes the chunked Hist pattern — immutable fixed-range blocks that a
 // delta-derived snapshot aliases wholesale when untouched — from histogram
 // rows to the entire snapshot, which is what makes compile, Apply, and the
-// GFP propagation shard-parallel and lets the server lock mutations
-// per shard instead of per snapshot.
+// GFP propagation shard-parallel.
 package compile
 
 import (
@@ -22,7 +21,7 @@ const (
 	// shard's worker owns.
 	minShardShift = 6
 	// autoShardShift sizes shards when the caller asks for automatic layout
-	// (Shards == 0): 8192 objects per shard keeps a shard's CSR block in the
+	// (shards == 0): 8192 objects per shard keeps a shard's CSR block in the
 	// hundreds-of-KB range for realistic degrees — big enough that per-shard
 	// bookkeeping is noise, small enough that a point delta rebuilds a
 	// sliver of the snapshot and compile fans out on every core.
@@ -33,7 +32,7 @@ const (
 )
 
 // TestShardsEnv, when set to a positive integer, overrides the automatic
-// shard count (and only the automatic one — explicit Shards settings win) so
+// shard count (and only the automatic one — an explicit count wins) so
 // the whole test suite can be driven through a fixed shard layout without
 // threading an option into every call site. CI runs the race-detector leg
 // under SCHEMEX_TEST_SHARDS=1 and =4.

@@ -44,8 +44,6 @@ type Options struct {
 	Recast *recast.Options
 	// NameFor overrides Stage 1 class naming.
 	NameFor func(db *graph.DB, members []graph.ObjectID, classIdx int) string
-	// UseNaiveGFP selects the reference fixpoint evaluator (benchmarks).
-	UseNaiveGFP bool
 	// UseBisimulation selects bisimulation partition refinement as the
 	// Stage 1 engine (faster; refines the paper's equivalence).
 	UseBisimulation bool
@@ -67,27 +65,6 @@ type Options struct {
 	// per CPU, 1 runs the exact serial code paths. Every result is
 	// bit-identical at any setting.
 	Parallelism int
-	// Shards partitions the compiled snapshot's object space into fixed
-	// ranges: 0 sizes shards automatically from the graph, 1 forces the
-	// single flat block of the pre-sharding layout, k > 1 requests (at
-	// most) k shards. Like Parallelism this is purely a layout/performance
-	// knob — extraction results are bit-identical at any setting.
-	Shards int
-	// MaxAffectedFrac tunes incremental Stage 1 maintenance on a Prepared
-	// derived via Apply: when the delta's affected (type, object) pairs
-	// exceed this fraction of the full matrix, the fixpoint is recomputed
-	// from scratch instead (typing.DefaultMaxAffectedFrac when zero). Purely
-	// a performance knob — results are bit-identical either way.
-	MaxAffectedFrac float64
-	// MaxDirtyTypesFrac tunes incremental Stages 2–3, mirroring
-	// MaxAffectedFrac: when a delta leaves more than this fraction of the
-	// Stage 1 classes dirty (members or definition changed), warm clustering
-	// falls back to a full matrix seeding; the same budget caps the fraction
-	// of objects the warm recast may reclassify before it, too, falls back.
-	// DefaultMaxDirtyTypesFrac when zero; a negative value disables warm
-	// Stages 2–3 outright (every extraction falls back). Purely a
-	// performance knob — results are bit-identical on either path.
-	MaxDirtyTypesFrac float64
 	// Limits bounds the resources an extraction may consume. Violations
 	// surface as *graph.LimitError. The zero value imposes no caps.
 	Limits Limits
@@ -193,7 +170,6 @@ func (o Options) recastOptions(check func() error) recast.Options {
 func (o Options) perfectOptions(check func() error) perfect.Options {
 	return perfect.Options{
 		NameFor:         o.NameFor,
-		UseNaiveGFP:     o.UseNaiveGFP,
 		UseSorts:        o.UseSorts,
 		ValueLabels:     o.ValueLabels,
 		UseBisimulation: o.UseBisimulation,
@@ -250,7 +226,8 @@ type Result struct {
 // combination of flags yields bit-identical results.
 type IncrInfo struct {
 	// Stage1Warm: the minimal perfect typing in this result was produced by
-	// the incremental fixpoint evaluator (warm start within budget).
+	// the incremental fixpoint evaluator (a warm start the evaluator did not
+	// abandon for a full evaluation).
 	Stage1Warm bool
 	// Stage2Warm: the clustering distance matrix was seeded from the parent
 	// extraction's captured state instead of popcounted from scratch.
@@ -278,11 +255,6 @@ type Timing struct {
 	Total  time.Duration
 }
 
-// DefaultMaxDirtyTypesFrac is the fallback threshold of warm Stages 2–3:
-// past this dirty fraction, incremental maintenance has lost its edge over
-// recomputing and the pipeline reseeds from scratch.
-const DefaultMaxDirtyTypesFrac = 0.25
-
 // IncrStats counts incremental-versus-fallback decisions across a session
 // lineage: one instance is shared by a root Prepared and every descendant
 // derived through Apply, so the observable speedup of delta extraction can
@@ -300,7 +272,7 @@ type IncrStats struct {
 type IncrStatsSnapshot struct {
 	// Stage2Warm / Stage2Full count extractions whose clustering matrix was
 	// warm-seeded versus fully popcounted (cold runs, missing or mismatched
-	// state, and MaxDirtyTypesFrac fallbacks all count as full).
+	// state, and warm plans that keep no cell all count as full).
 	Stage2Warm, Stage2Full uint64
 	// Stage3Warm / Stage3Full count recasts that reclassified only dirty
 	// objects versus everything.
@@ -424,7 +396,7 @@ type stage23 struct {
 }
 
 // stage23Key identifies every option that influences Stages 2 and 3 given a
-// fixed Stage 1 result (parallelism, budgets, and limits never do).
+// fixed Stage 1 result (parallelism, the memory budget, and limits never do).
 type stage23Key struct {
 	s1          stage1Key
 	k           int
@@ -473,7 +445,6 @@ func stage23KeyOf(opts Options) (stage23Key, bool) {
 // (parallelism and cancellation never do; naming does, so non-nil NameFor
 // disables the memo — func values cannot be compared).
 type stage1Key struct {
-	useNaiveGFP     bool
 	useSorts        bool
 	useBisimulation bool
 	valueLabels     string
@@ -484,7 +455,6 @@ func stage1KeyOf(opts Options) (stage1Key, bool) {
 		return stage1Key{}, false
 	}
 	return stage1Key{
-		useNaiveGFP:     opts.UseNaiveGFP,
 		useSorts:        opts.UseSorts,
 		useBisimulation: opts.UseBisimulation,
 		valueLabels:     strings.Join(opts.ValueLabels, "\x00"),
@@ -492,11 +462,13 @@ func stage1KeyOf(opts Options) (stage1Key, bool) {
 }
 
 // Prepare compiles db into a reusable extraction context. parallelism
-// bounds the compilation's workers (<= 0 means one per CPU), shards sets the
-// snapshot layout (see Options.Shards; 0 means automatic), and memBudget the
-// resident-shard memory budget in bytes (see Options.MemBudget; 0 means
-// fully resident). Snapshots derived from the result through Apply inherit
-// the budget — one LRU serves the whole session lineage. The compilation
+// bounds the compilation's workers (<= 0 means one per CPU), and memBudget
+// the resident-shard memory budget in bytes (see Options.MemBudget; 0 means
+// fully resident). shards sets the snapshot's object-range layout: 0 sizes
+// shards automatically (or from SCHEMEX_TEST_SHARDS), 1 forces a single flat
+// block, k > 1 requests at most k shards; results are bit-identical at any
+// layout. Snapshots derived from the result through Apply inherit the layout
+// and the budget — one LRU serves the whole session lineage. The compilation
 // stops at the next checkpoint once ctx is cancelled.
 func Prepare(ctx context.Context, db *graph.DB, parallelism, shards int, memBudget int64) (*Prepared, error) {
 	snap, err := compile.Compile(db, shards, par.Workers(parallelism), memBudget, checkFunc(ctx))
@@ -677,11 +649,8 @@ func (p *Prepared) stage1(opts Options, check func() error) (*perfect.Result, er
 		p.mu.Lock()
 		s1 := p.s1
 		hit := s1 != nil && p.s1key == key
-		if !hit && p.warm != nil && p.warmKey == key {
-			// Copy the shared hint so the per-call threshold never races.
-			w := *p.warm
-			w.MaxAffectedFrac = opts.MaxAffectedFrac
-			warm = &w
+		if !hit && p.warmKey == key {
+			warm = p.warm
 		}
 		p.mu.Unlock()
 		if hit {
@@ -716,7 +685,7 @@ func ExtractContext(ctx context.Context, db *graph.DB, opts Options) (*Result, e
 	if err := opts.Limits.checkGraph(db); err != nil {
 		return nil, err
 	}
-	prep, err := Prepare(ctx, db, opts.Parallelism, opts.Shards, opts.MemBudget)
+	prep, err := Prepare(ctx, db, opts.Parallelism, 0, opts.MemBudget)
 	if err != nil {
 		return nil, wrapWall(err)
 	}
@@ -808,7 +777,7 @@ func extract(ctx context.Context, prep *Prepared, opts Options) (*Result, error)
 	// seed the distance matrix by copy instead of popcount where provable.
 	var warm *cluster.Warm
 	if useS23 && s23 != nil && s23.state != nil && s23.matrixKey == matrixKey {
-		warm = planWarm(stage1, s23, opts, res)
+		warm = planWarm(stage1, s23, res)
 	}
 
 	t0 = time.Now()
@@ -839,11 +808,9 @@ func extract(ctx context.Context, prep *Prepared, opts Options) (*Result, error)
 	// and the merge loop is skipped entirely. A delta that perturbs any
 	// class — membership, weight, rule, or name — fails the comparison and
 	// falls through to the matrix-copying warm path below. opts.K > 0 is
-	// required because the auto-K sweep consults the database for its knee,
-	// and a negative MaxDirtyTypesFrac — the forced-full-fallback setting —
-	// disables this path like every other reuse.
+	// required because the auto-K sweep consults the database for its knee.
 	if resOK && s23 != nil && s23.resOK && s23.resKey == resKey && s23.state != nil &&
-		opts.K > 0 && dirtyBudget(opts) >= 0 && programEqual(baseProg, s23.state.Program()) {
+		opts.K > 0 && programEqual(baseProg, s23.state.Program()) {
 		prog = s23.res.Program
 		res.Program = prog
 		res.Mapping = s23.res.Mapping
@@ -885,7 +852,7 @@ func extract(ctx context.Context, prep *Prepared, opts Options) (*Result, error)
 	t0 = time.Now()
 	var rcWarm *recast.Warm
 	if resOK && s23 != nil && s23.resOK && s23.resKey == resKey && programsAgree(prog, s23.res.Program) {
-		rcWarm = planRecastWarm(prep.snap, s23, res, opts)
+		rcWarm = planRecastWarm(prep.snap, s23, res)
 	}
 	rc, classified, err := recast.Recast(prep.snap, prog, res.Homes, opts.recastOptions(check), rcWarm)
 	if err != nil {
@@ -916,28 +883,16 @@ func extract(ctx context.Context, prep *Prepared, opts Options) (*Result, error)
 	return res, nil
 }
 
-// dirtyBudget resolves the MaxDirtyTypesFrac option.
-func dirtyBudget(opts Options) float64 {
-	if opts.MaxDirtyTypesFrac != 0 {
-		return opts.MaxDirtyTypesFrac
-	}
-	return DefaultMaxDirtyTypesFrac
-}
-
 // planWarm diffs the child's Stage 1 classes against the retained parent
 // state and builds the matrix-seeding plan: classes with identical members
-// whose definitions provably mirror a parent slot keep their matrix cells.
-// It records the dirty-type count on res and returns nil — a full seeding —
-// when the dirty fraction exceeds the MaxDirtyTypesFrac budget.
-func planWarm(stage1 *perfect.Result, s23 *stage23, opts Options, res *Result) *cluster.Warm {
+// whose definitions provably mirror a parent slot keep their matrix cells,
+// and every other cell is popcounted exactly as a cold seeding would, so the
+// plan can only replace popcounts with copies. It records the dirty-type
+// count on res.
+func planWarm(stage1 *perfect.Result, s23 *stage23, res *Result) *cluster.Warm {
 	proposal := perfect.MatchClasses(stage1.Classes, s23.classes)
 	m, clean := cluster.MatchDefinitions(stage1.Program, s23.state, proposal)
-	n := stage1.Program.Len()
-	dirty := n - clean
-	res.Incr.DirtyTypes = dirty
-	if float64(dirty) > dirtyBudget(opts)*float64(n) {
-		return nil
-	}
+	res.Incr.DirtyTypes = stage1.Program.Len() - clean
 	return &cluster.Warm{State: s23.state, Map: m}
 }
 
@@ -983,9 +938,10 @@ func programEqual(a, b *typing.Program) bool {
 // own edge set changed, its homes changed, or a neighbour in either direction
 // did either of those — local pictures read the homes of both out-targets and
 // in-sources, and a touched atomic value surfaces through its sources'
-// pictures. Returns nil — a full recast — when the dirty fraction exceeds the
-// MaxDirtyTypesFrac budget.
-func planRecastWarm(snap *compile.Snapshot, s23 *stage23, res *Result, opts Options) *recast.Warm {
+// pictures. The warm recast classifies the dirty objects exactly as a cold
+// one would and copies every other row, so it can only replace
+// classifications with copies.
+func planRecastWarm(snap *compile.Snapshot, s23 *stage23, res *Result) *recast.Warm {
 	parent := s23.res
 	nC := len(snap.Complex)
 	seed := make([]bool, nC)
@@ -1026,15 +982,6 @@ func planRecastWarm(snap *compile.Snapshot, s23 *stage23, res *Result, opts Opti
 		}
 		dirty[i] = true
 		markNeighbors(o)
-	}
-	count := 0
-	for _, d := range dirty {
-		if d {
-			count++
-		}
-	}
-	if float64(count) > dirtyBudget(opts)*float64(nC) {
-		return nil
 	}
 	return &recast.Warm{Assignment: parent.Assignment, Dirty: dirty}
 }
@@ -1154,7 +1101,7 @@ func Sweep(ctx context.Context, db *graph.DB, opts Options) (*SweepResult, error
 	if err := opts.Limits.checkGraph(db); err != nil {
 		return nil, err
 	}
-	prep, err := Prepare(ctx, db, opts.Parallelism, opts.Shards, opts.MemBudget)
+	prep, err := Prepare(ctx, db, opts.Parallelism, 0, opts.MemBudget)
 	if err != nil {
 		return nil, wrapWall(err)
 	}
@@ -1269,7 +1216,8 @@ func sweepFrom(check func() error, snap *compile.Snapshot, baseProg *typing.Prog
 // point with maximum perpendicular distance from the straight line joining
 // the curve's endpoints. This is the "optimal trade-off between number of
 // types and defect" the paper's sensitivity analysis looks for; ties go to
-// the smaller defect, then the smaller K.
+// the smaller defect, then to the earlier point — the larger K, since points
+// run from large K to small.
 func (s *SweepResult) Knee() int {
 	if len(s.Points) == 0 {
 		return 1

@@ -190,6 +190,17 @@ func TestKneeDegenerate(t *testing.T) {
 	}
 }
 
+// TestKneeFullTieKeepsLargerK: K 3 and K 2 lie equally far from the line
+// and carry equal defects, so the earlier point, the larger K, wins.
+func TestKneeFullTieKeepsLargerK(t *testing.T) {
+	sw := &SweepResult{Points: []SweepPoint{
+		{K: 4, Defect: 0}, {K: 3, Defect: 5}, {K: 2, Defect: 5}, {K: 1, Defect: 0},
+	}}
+	if knee := sw.Knee(); knee != 3 {
+		t.Fatalf("knee = %d, want 3", knee)
+	}
+}
+
 func TestExtractWithEmptyType(t *testing.T) {
 	db := recordsDB()
 	// A handful of alien objects that fit nowhere.

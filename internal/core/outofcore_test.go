@@ -28,21 +28,10 @@ func TestExtractBudgetDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := Extract(db, Options{K: 5, Shards: 1, Parallelism: 1})
-		if err != nil {
-			t.Fatalf("%s reference: %v", p.Spec.Name, err)
-		}
-		want := outcomeOf(ref)
+		want := extractLayout(t, db, 1, 1, 0)
 		for _, budget := range testBudgets {
 			for _, cfg := range shardConfigs {
-				res, err := Extract(db, Options{
-					K: 5, Shards: cfg.shards, Parallelism: cfg.par, MemBudget: budget,
-				})
-				if err != nil {
-					t.Fatalf("%s (shards=%d, p=%d, budget=%d): %v",
-						p.Spec.Name, cfg.shards, cfg.par, budget, err)
-				}
-				if got := outcomeOf(res); !reflect.DeepEqual(got, want) {
+				if got := extractLayout(t, db, cfg.shards, cfg.par, budget); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: budgeted result diverges at Shards=%d Parallelism=%d MemBudget=%d:\nref: %+v\ngot: %+v",
 						p.Spec.Name, cfg.shards, cfg.par, budget, want, got)
 				}

@@ -35,6 +35,22 @@ func outcomeOf(res *Result) shardOutcome {
 	}
 }
 
+// extractLayout extracts db at K 5 from a snapshot compiled with the given
+// shard count, parallelism and memory budget.
+func extractLayout(t *testing.T, db *graph.DB, shards, par int, budget int64) shardOutcome {
+	t.Helper()
+	ctx := context.Background()
+	prep, err := Prepare(ctx, db, par, shards, budget)
+	if err != nil {
+		t.Fatalf("prepare (shards=%d, p=%d, budget=%d): %v", shards, par, budget, err)
+	}
+	res, err := ExtractPrepared(ctx, prep, Options{K: 5, Parallelism: par})
+	if err != nil {
+		t.Fatalf("extract (shards=%d, p=%d, budget=%d): %v", shards, par, budget, err)
+	}
+	return outcomeOf(res)
+}
+
 // shardConfigs is the acceptance matrix: flat, explicit multi-shard, and
 // automatic layout, each serial and fully parallel.
 var shardConfigs = []struct{ shards, par int }{
@@ -51,16 +67,9 @@ func TestExtractShardDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func(shards, par int) shardOutcome {
-			res, err := Extract(db, Options{K: 5, Shards: shards, Parallelism: par})
-			if err != nil {
-				t.Fatalf("%s (shards=%d, p=%d): %v", p.Spec.Name, shards, par, err)
-			}
-			return outcomeOf(res)
-		}
-		ref := run(1, 1)
+		ref := extractLayout(t, db, 1, 1, 0)
 		for _, cfg := range shardConfigs[1:] {
-			got := run(cfg.shards, cfg.par)
+			got := extractLayout(t, db, cfg.shards, cfg.par, 0)
 			if !reflect.DeepEqual(got, ref) {
 				t.Errorf("%s: result diverges at Shards=%d Parallelism=%d:\nref: %+v\ngot: %+v",
 					p.Spec.Name, cfg.shards, cfg.par, ref, got)

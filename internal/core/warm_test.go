@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"schemex/internal/graph"
 )
@@ -77,14 +78,14 @@ func TestWarmExtractFastPathAndStats(t *testing.T) {
 	}
 	assertSameResult(t, prep.DB(), r2, r1, "repeat")
 
-	// Budgets and parallelism are not part of the result identity: changing
+	// Limits and parallelism are not part of the result identity: changing
 	// them alone still replays.
-	r3, err := ExtractPrepared(context.Background(), prep, Options{K: 2, Parallelism: 0, MaxDirtyTypesFrac: 0.5})
+	r3, err := ExtractPrepared(context.Background(), prep, Options{K: 2, Parallelism: 0, Limits: Limits{MaxWallTime: time.Minute}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r3.Incr.FastPath {
-		t.Fatalf("parallelism/budget change broke the fast path: %+v", r3.Incr)
+		t.Fatalf("parallelism/limits change broke the fast path: %+v", r3.Incr)
 	}
 
 	// An empty delta touches nothing; the child replays too.
@@ -135,9 +136,8 @@ func TestWarmExtractFastPathAndStats(t *testing.T) {
 }
 
 // TestWarmExtractAfterDelta: after a one-record delta the next extraction
-// warm-starts Stages 2 and 3 within the default budget and stays
-// bit-identical to extracting the mutated graph from scratch, at serial and
-// parallel settings.
+// warm-starts Stages 2 and 3 and stays bit-identical to extracting the
+// mutated graph from scratch, at serial and parallel settings.
 func TestWarmExtractAfterDelta(t *testing.T) {
 	prep, err := Prepare(context.Background(), recordsDB(), 0, 0, 0)
 	if err != nil {
@@ -148,7 +148,7 @@ func TestWarmExtractAfterDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A new emp record joins an existing class: exactly one Stage 1 class
-	// changes membership, well inside the 0.25 default budget.
+	// changes membership.
 	d := &graph.Delta{}
 	addRecord(d, "empA", "name", "salary", "dept")
 
@@ -187,67 +187,42 @@ func TestWarmExtractAfterDelta(t *testing.T) {
 	}
 }
 
-// TestWarmBudgetFallback: a delta that dirties too many classes for the
-// budget — or a negative budget that disables warm starts outright — falls
-// back to the full Stages 2–3 with identical results.
-func TestWarmBudgetFallback(t *testing.T) {
-	// book0 gains an edition attribute: it migrates between classes, so two
-	// of the four classes change membership (0.5 > the 0.25 default).
+// TestWarmExtractClassMigration: a delta that moves a record between
+// classes dirties two of the four Stage 1 classes. Warm Stage 2 still keeps
+// the cells between the two clean classes, and the extraction equals the
+// cold one.
+func TestWarmExtractClassMigration(t *testing.T) {
+	// book0 gains an edition attribute and migrates between classes.
 	d := &graph.Delta{}
 	d.AddAtomic("book0.edition", atomV)
 	d.AddLink("book0", "book0.edition", "edition")
 
-	cases := []struct {
-		name     string
-		frac     float64
-		wantWarm bool
-	}{
-		{"default budget exceeded", 0, false},
-		{"forced off", -1, false},
-		{"budget covers", 1, true},
+	prep, err := Prepare(context.Background(), recordsDB(), 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		prep, err := Prepare(context.Background(), recordsDB(), 0, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := Options{K: 2, Parallelism: 1, MaxDirtyTypesFrac: c.frac}
-		if _, err := ExtractPrepared(context.Background(), prep, opts); err != nil {
-			t.Fatal(err)
-		}
-		child, _, err := prep.Apply(context.Background(), d, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := ExtractPrepared(context.Background(), child, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.Incr.Stage2Warm != c.wantWarm {
-			t.Fatalf("%s: Stage2Warm = %v, want %v (Incr %+v)",
-				c.name, warm.Incr.Stage2Warm, c.wantWarm, warm.Incr)
-		}
-		// The stage budgets are independent: Stage 3 may still warm-start
-		// after a Stage 2 fallback (few dirty objects, many dirty types) —
-		// but a negative budget disables both.
-		if c.frac < 0 && warm.Incr.Stage3Warm {
-			t.Fatalf("%s: Stage 3 warm-started despite the fallback", c.name)
-		}
-		if c.frac >= 0 && warm.Incr.DirtyTypes != 2 {
-			t.Fatalf("%s: DirtyTypes = %d, want 2", c.name, warm.Incr.DirtyTypes)
-		}
-		cold, err := Extract(child.DB().Clone(), Options{K: 2, Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResult(t, child.DB(), warm, cold, c.name)
-		s := child.Stats()
-		if c.wantWarm && s.Stage2Warm != 1 {
-			t.Fatalf("%s: Stage2Warm counter = %d, want 1", c.name, s.Stage2Warm)
-		}
-		if !c.wantWarm && s.Stage2Full != 2 {
-			t.Fatalf("%s: Stage2Full counter = %d, want 2", c.name, s.Stage2Full)
-		}
+	opts := Options{K: 2, Parallelism: 1}
+	if _, err := ExtractPrepared(context.Background(), prep, opts); err != nil {
+		t.Fatal(err)
+	}
+	child, _, err := prep.Apply(context.Background(), d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := ExtractPrepared(context.Background(), child, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.Incr.Stage2Warm || warm.Incr.DirtyTypes != 2 {
+		t.Fatalf("Incr = %+v, want Stage2Warm with DirtyTypes 2", warm.Incr)
+	}
+	cold, err := Extract(child.DB().Clone(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, child.DB(), warm, cold, "class migration")
+	if s := child.Stats(); s.Stage2Warm != 1 || s.Stage2Full != 1 {
+		t.Fatalf("Stage2 counters = %d warm / %d full, want 1 / 1", s.Stage2Warm, s.Stage2Full)
 	}
 }
 
@@ -331,16 +306,16 @@ func d2() *graph.Delta {
 }
 
 // TestWarmExtractRandomStream drives a random delta stream through a session
-// chain, extracting after every step at alternating parallelism and — every
-// third step — under a forced fallback, asserting each result bit-identical
-// to a from-scratch extraction of the mutated graph.
+// chain, extracting after every step at alternating parallelism, asserting
+// each result bit-identical to a from-scratch extraction of the mutated
+// graph.
 func TestWarmExtractRandomStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(1998))
 	prep, err := Prepare(context.Background(), recordsDB(), 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{K: 2, MaxDirtyTypesFrac: 1}
+	opts := Options{K: 2}
 	if _, err := ExtractPrepared(context.Background(), prep, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -385,15 +360,9 @@ func TestWarmExtractRandomStream(t *testing.T) {
 		}
 		o := opts
 		o.Parallelism = 1 - step%2 // alternate 1 and 0
-		if step%3 == 2 {
-			o.MaxDirtyTypesFrac = -1 // forced full fallback
-		}
 		warm, err := ExtractPrepared(context.Background(), child, o)
 		if err != nil {
 			t.Fatalf("step %d: warm extract: %v", step, err)
-		}
-		if step%3 == 2 && (warm.Incr.Stage2Warm || warm.Incr.Stage3Warm) {
-			t.Fatalf("step %d: forced fallback still warm-started: %+v", step, warm.Incr)
 		}
 		cold, err := Extract(child.DB().Clone(), o)
 		if err != nil {
@@ -406,9 +375,6 @@ func TestWarmExtractRandomStream(t *testing.T) {
 	s := cur.Stats()
 	if s.Stage2Warm == 0 || s.Stage3Warm == 0 {
 		t.Fatalf("stream never warm-started: %+v", s)
-	}
-	if s.Stage2Full < 4 { // the seed run plus the three forced fallbacks
-		t.Fatalf("Stage2Full = %d, want >= 4", s.Stage2Full)
 	}
 	if total := s.Stage2Warm + s.Stage2Full + s.FastPath; total != 10 {
 		t.Fatalf("counters cover %d extractions, want 10", total)

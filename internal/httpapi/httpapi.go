@@ -44,10 +44,10 @@ import (
 // MaxBody caps request bodies (data sets are inlined in the envelope).
 const MaxBody = 32 << 20
 
-// ExtractLimits is the resource budget applied to every extract/sweep
-// request: the input already passed MaxBody, so the graph caps mirror that
-// scale, and the wall-clock cap keeps one adversarial dataset from pinning a
-// worker forever.
+// ExtractLimits is the resource budget applied to every extract, sweep and
+// guided query request: the input already passed MaxBody, so the graph caps
+// mirror that scale, and the wall-clock cap keeps one adversarial dataset
+// from pinning a worker forever.
 var ExtractLimits = schemex.Limits{MaxWallTime: 2 * time.Minute}
 
 // extractStatus maps an extraction error to an HTTP status: client-closed
@@ -72,28 +72,26 @@ func extractStatus(err error) int {
 
 // Options mirrors schemex.Options for the wire.
 type Options struct {
-	K                 int      `json:"k,omitempty"`
-	Delta             string   `json:"delta,omitempty"`
-	AllowEmpty        bool     `json:"allowEmpty,omitempty"`
-	MultiRole         bool     `json:"multiRole,omitempty"`
-	UseSorts          bool     `json:"useSorts,omitempty"`
-	SeedSchema        string   `json:"seedSchema,omitempty"`
-	ValueLabels       []string `json:"valueLabels,omitempty"`
-	MaxDistance       int      `json:"maxDistance,omitempty"`
-	MaxDirtyTypesFrac float64  `json:"maxDirtyTypesFrac,omitempty"`
+	K           int      `json:"k,omitempty"`
+	Delta       string   `json:"delta,omitempty"`
+	AllowEmpty  bool     `json:"allowEmpty,omitempty"`
+	MultiRole   bool     `json:"multiRole,omitempty"`
+	UseSorts    bool     `json:"useSorts,omitempty"`
+	SeedSchema  string   `json:"seedSchema,omitempty"`
+	ValueLabels []string `json:"valueLabels,omitempty"`
+	MaxDistance int      `json:"maxDistance,omitempty"`
 }
 
 func (o Options) toLib() schemex.Options {
 	return schemex.Options{
-		K:                 o.K,
-		Delta:             o.Delta,
-		AllowEmpty:        o.AllowEmpty,
-		MultiRole:         o.MultiRole,
-		UseSorts:          o.UseSorts,
-		SeedSchema:        o.SeedSchema,
-		ValueLabels:       o.ValueLabels,
-		MaxDistance:       o.MaxDistance,
-		MaxDirtyTypesFrac: o.MaxDirtyTypesFrac,
+		K:           o.K,
+		Delta:       o.Delta,
+		AllowEmpty:  o.AllowEmpty,
+		MultiRole:   o.MultiRole,
+		UseSorts:    o.UseSorts,
+		SeedSchema:  o.SeedSchema,
+		ValueLabels: o.ValueLabels,
+		MaxDistance: o.MaxDistance,
 	}
 }
 
@@ -699,7 +697,9 @@ func (a *api) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	var matches []string
 	if req.Guided {
-		res, err := schemex.ExtractPreparedContext(r.Context(), prep, req.Opts.toLib())
+		opts := req.Opts.toLib()
+		opts.Limits = ExtractLimits
+		res, err := schemex.ExtractPreparedContext(r.Context(), prep, opts)
 		if err != nil {
 			writeError(w, extractStatus(err), err)
 			return

@@ -7,6 +7,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"schemex"
 )
 
 const sampleText = `link gates microsoft is-manager-of
@@ -153,6 +156,23 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 }
 
+// TestGuidedQueryWallClock: a guided query runs an extraction, so it obeys
+// ExtractLimits like /v1/extract and /v1/sweep do.
+func TestGuidedQueryWallClock(t *testing.T) {
+	saved := ExtractLimits
+	t.Cleanup(func() { ExtractLimits = saved })
+	ExtractLimits = schemex.Limits{MaxWallTime: time.Nanosecond}
+
+	srv := httptest.NewServer(Handler())
+	defer srv.Close()
+	status, out := post(t, srv, "/v1/query", mustJSON(t, map[string]interface{}{
+		"data": sampleText, "path": "is-manager-of.name", "guided": true,
+	}))
+	if status != http.StatusServiceUnavailable || out["error"] == nil {
+		t.Fatalf("guided query past its wall-clock cap: status %d, want 503 (%v)", status, out)
+	}
+}
+
 func TestErrors(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -177,6 +197,8 @@ func TestErrors(t *testing.T) {
 		{"/v1/extract", mustJSON(t, map[string]interface{}{"data": sampleText, "format": "frob"}), 400},
 		{"/v1/extract", mustJSON(t, map[string]interface{}{
 			"data": sampleText, "options": map[string]interface{}{"delta": "nope"}}), 422},
+		{"/v1/extract", mustJSON(t, map[string]interface{}{
+			"data": sampleText, "options": map[string]interface{}{"maxDirtyTypesFrac": 1}}), 400},
 		{"/v1/check", mustJSON(t, map[string]interface{}{"data": sampleText, "schema": "type x = ->a[nowhere]"}), 400},
 		{"/v1/query", mustJSON(t, map[string]interface{}{"data": sampleText, "path": "a..b"}), 400},
 	}

@@ -204,7 +204,7 @@ type sessionCreateRequest struct {
 }
 
 // sessionInfo describes a session's current state on the wire. Shards
-// reports the compiled snapshot's partition count (Options.Shards layout) —
+// reports the compiled snapshot's partition count (the automatic layout) —
 // observability only, results never depend on it.
 type sessionInfo struct {
 	ID      string `json:"id"`

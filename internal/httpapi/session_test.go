@@ -152,7 +152,7 @@ func TestSessionIncrementalBlock(t *testing.T) {
 	defer srv.Close()
 	id := createSession(t, srv, sessionRecordsText())
 	body := mustJSON(t, map[string]interface{}{
-		"options": map[string]interface{}{"k": 3, "maxDirtyTypesFrac": 1},
+		"options": map[string]interface{}{"k": 3},
 	})
 
 	status, out := post(t, srv, "/v1/session/"+id+"/extract", body)

@@ -46,11 +46,11 @@ type Result struct {
 	QD       *typing.Program
 	QDExtent *typing.Extent
 	// WarmUsed reports that at least one of the Stage 1 fixpoints (Q_D or
-	// P_D) was maintained incrementally from a parent extraction's state (a
-	// Minimal warm start that stayed within its affected-fraction
-	// budget). False for cold runs and for warm starts whose fixpoint
-	// evaluations all fell back to the full evaluation. Observability only —
-	// the result is bit-identical either way.
+	// P_D) was maintained incrementally from a parent extraction's state.
+	// False for cold runs and for warm starts whose fixpoint evaluations all
+	// fell back to the full evaluation (typing.EvalGFPSnapIncr's bound on
+	// the affected region). Observability only — the result is
+	// bit-identical either way.
 	WarmUsed bool
 
 	db *graph.DB
@@ -243,16 +243,14 @@ func buildQDWarm(snap *compile.Snapshot, opts typing.PictureOpts, warm *Warm, ch
 type Warm struct {
 	// Parent is the parent extraction's full Stage 1 result, computed with
 	// the same Stage 1 options. Its retained Q_D supplies per-object rules
-	// for untouched positions, its classes and names seed the grouping and
-	// naming passes, and its extents warm both fixpoint evaluations.
+	// for untouched positions, and its extents warm both fixpoint
+	// evaluations.
 	Parent *Result
 	// Touched lists the delta-touched objects (compile.ApplyInfo.Touched):
 	// every object whose local picture — edges, or an atomic's sort/value —
 	// may differ from the parent's. Warm reuse of per-object state is only
 	// sound when this list is complete.
 	Touched []graph.ObjectID
-	// MaxAffectedFrac overrides typing.DefaultMaxAffectedFrac when positive.
-	MaxAffectedFrac float64
 }
 
 // Minimal computes the minimal perfect typing of the snapshot's database
@@ -261,15 +259,13 @@ type Warm struct {
 // read the snapshot's shared positions and label table.
 //
 // warm is an optional warm start (nil means cold). Against a parent
-// extraction's retained state, every pass reuses what the delta provably
-// left alone: Q_D construction reuses the parent's per-object rules for
-// untouched positions, the Q_D and P_D fixpoints are maintained
-// incrementally via typing.EvalGFPSnapIncr, the bipartite grouping inherits
-// parent class identities for unchanged rules, and class names are reused
-// while the class prefix is undisturbed. The bisimulation and naive-GFP
-// routes ignore warm (they are the reference paths and run no reusable
-// fixpoint). Results are bit-identical with and without warm, at any
-// Parallelism.
+// extraction's retained state, Q_D construction reuses the parent's
+// per-object rules for untouched positions, and the Q_D and P_D fixpoints
+// are maintained incrementally via typing.EvalGFPSnapIncr. Grouping and
+// naming always run cold: both are linear passes. The bisimulation and
+// naive-GFP routes ignore warm (they are the reference paths and run no
+// reusable fixpoint). Results are bit-identical with and without warm, at
+// any Parallelism.
 func Minimal(snap *compile.Snapshot, opts Options, warm *Warm) (*Result, error) {
 	db := snap.DB()
 	workers := par.Workers(opts.Parallelism)
@@ -316,16 +312,7 @@ func Minimal(snap *compile.Snapshot, opts Options, warm *Warm) (*Result, error) 
 		grouped = true
 	}
 	if !grouped && !opts.UseNaiveGFP { // the naive flag doubles as "reference path" for tests
-		if warmOK && warm.Parent.QDExtent == nil {
-			// The parent grouped on the bipartite fast path (it retained no
-			// fixpoint); inherit its class identities for unchanged rules.
-			classOf, classes, grouped = bipartiteClassesWarm(qd, snap, warm.Parent, qdChanged)
-		}
-		if !grouped {
-			classOf, classes, grouped = bipartiteClasses(qd)
-		}
-		if grouped {
-		}
+		classOf, classes, grouped = bipartiteClasses(qd)
 	}
 	var qdExtent *typing.Extent // retained for Result.QDExtent on the GFP route
 	warmUsed := false
@@ -338,11 +325,7 @@ func Minimal(snap *compile.Snapshot, opts Options, warm *Warm) (*Result, error) 
 			// parent's Q_D, so qdChanged is the changed-type set; touched
 			// objects supply the affected columns.
 			var err error
-			extent, warmUsed, err = typing.EvalGFPSnapIncr(qd, snap, warm.Parent.QDExtent, qdChanged, warm.Touched, typing.IncrOptions{
-				Workers:         workers,
-				Check:           check,
-				MaxAffectedFrac: warm.MaxAffectedFrac,
-			})
+			extent, warmUsed, err = typing.EvalGFPSnapIncr(qd, snap, warm.Parent.QDExtent, qdChanged, warm.Touched, workers, check)
 			if err != nil {
 				return nil, err
 			}
@@ -421,42 +404,7 @@ func Minimal(snap *compile.Snapshot, opts Options, warm *Warm) (*Result, error) 
 		nameFor = DefaultClassName
 	}
 	used := map[string]bool{"0": true} // "0" is reserved for the atomic type
-	firstCold := 0
-	if warmOK && opts.NameFor == nil {
-		// Reuse parent class names while the class prefix is undisturbed: a
-		// class whose member list is identical to the parent's and contains
-		// no touched object gets the same DefaultClassName (it reads only the
-		// members' incoming edges, and an in-edge change touches its
-		// endpoint), and the dedup state accumulated over an identical prefix
-		// is identical, so the names match the cold run by induction. The
-		// first class that fails the test ends the prefix; everything after
-		// it is named cold against the accumulated dedup state.
-		touchedSet := make(map[graph.ObjectID]bool, len(warm.Touched))
-		for _, o := range warm.Touched {
-			touchedSet[o] = true
-		}
-		parent := warm.Parent
-		for ci := range classes {
-			if ci >= len(parent.Classes) || len(result.Classes[ci]) != len(parent.Classes[ci]) {
-				break
-			}
-			same := true
-			for k, o := range result.Classes[ci] {
-				if o != parent.Classes[ci][k] || touchedSet[o] {
-					same = false
-					break
-				}
-			}
-			if !same {
-				break
-			}
-			name := parent.Program.Types[ci].Name
-			used[name] = true
-			pd.Types[ci].Name = name
-			firstCold = ci + 1
-		}
-	}
-	for ci := firstCold; ci < len(classes); ci++ {
+	for ci := range classes {
 		name := nameFor(db, result.Classes[ci], ci)
 		if name == "" || name == "0" {
 			name = fmt.Sprintf("class%d", ci)
@@ -488,11 +436,7 @@ func Minimal(snap *compile.Snapshot, opts Options, warm *Warm) (*Result, error) 
 				changedPD = append(changedPD, ci)
 			}
 		}
-		ext, pdWarm, err := typing.EvalGFPSnapIncr(pd, snap, warm.Parent.Extent, changedPD, warm.Touched, typing.IncrOptions{
-			Workers:         workers,
-			Check:           check,
-			MaxAffectedFrac: warm.MaxAffectedFrac,
-		})
+		ext, pdWarm, err := typing.EvalGFPSnapIncr(pd, snap, warm.Parent.Extent, changedPD, warm.Touched, workers, check)
 		if err != nil {
 			return nil, err
 		}
@@ -567,78 +511,6 @@ func ruleKey(links []typing.TypedLink) string {
 		sb.WriteByte(2)
 	}
 	return sb.String()
-}
-
-// bipartiteClassesWarm reproduces bipartiteClasses for a child Q_D whose
-// unchanged positions reuse a bipartite parent's grouping. Unchanged rules
-// were atomic-only in the parent, so only the changed positions need the
-// bipartiteness check; each unchanged position inherits its parent class
-// identity through parent.Home, and each changed position groups by its
-// canonical rule key, matched against the parent class keys so it can join
-// an existing identity. Distinct parent classes have distinct keys (the
-// parent grouped by exactly this key), so identities correspond one-to-one
-// with keys and numbering classes by first occurrence in position order
-// reproduces the cold numbering bit for bit. grouped=false falls back to
-// the cold path (a changed rule has a complex target, or the parent state
-// does not line up).
-func bipartiteClassesWarm(qd *typing.Program, snap *compile.Snapshot, parent *Result, changed []int) (classOf []int, classes [][]int, grouped bool) {
-	isChanged := make(map[int]bool, len(changed))
-	for _, ti := range changed {
-		isChanged[ti] = true
-		for _, l := range qd.Types[ti].Links {
-			if l.Target != typing.AtomicTarget {
-				return nil, nil, false
-			}
-		}
-	}
-	// On the bipartite route P_D rules are the representative Q_D rules
-	// unmodified (no complex targets to renumber), so they key the classes.
-	parentKey := make(map[string]int, len(parent.Classes))
-	for pc := range parent.Classes {
-		parentKey[ruleKey(parent.Program.Types[pc].Links)] = pc
-	}
-	classOf = make([]int, len(qd.Types))
-	fromParent := make([]int, len(parent.Classes))
-	for i := range fromParent {
-		fromParent[i] = -1
-	}
-	fromKey := make(map[string]int)
-	objs := snap.Complex
-	for ti := range qd.Types {
-		pc := -1
-		var key string
-		if !isChanged[ti] {
-			var ok bool
-			pc, ok = parent.Home[objs[ti]]
-			if !ok {
-				return nil, nil, false // position not in the parent: state mismatch
-			}
-		} else {
-			key = ruleKey(qd.Types[ti].Links)
-			if p, ok := parentKey[key]; ok {
-				pc = p
-			}
-		}
-		var ci int
-		if pc >= 0 {
-			if fromParent[pc] < 0 {
-				fromParent[pc] = len(classes)
-				classes = append(classes, nil)
-			}
-			ci = fromParent[pc]
-		} else {
-			c, ok := fromKey[key]
-			if !ok {
-				c = len(classes)
-				fromKey[key] = c
-				classes = append(classes, nil)
-			}
-			ci = c
-		}
-		classes[ci] = append(classes[ci], ti)
-		classOf[ti] = ci
-	}
-	return classOf, classes, true
 }
 
 // DefaultClassName names a class after the dominant label on incoming edges

@@ -6,25 +6,12 @@ import (
 	"schemex/internal/graph"
 )
 
-// DefaultMaxAffectedFrac is the fallback threshold of EvalGFPSnapIncr: when
-// the delta's affected (type, object) pairs — raised candidates plus
+// maxAffectedFrac is the fallback threshold of EvalGFPSnapIncr: when the
+// delta's affected (type, object) pairs — raised candidates plus
 // materialized support rows — exceed this fraction of the full type ×
-// complex-object matrix, incremental maintenance has lost its edge over
-// re-seeding every pair and the evaluator recomputes from scratch.
-const DefaultMaxAffectedFrac = 0.25
-
-// IncrOptions configure incremental greatest-fixpoint maintenance.
-type IncrOptions struct {
-	// Workers bounds parallelism of the full-recompute fallback (<= 0 means
-	// one per CPU, 1 serial). The incremental path itself is serial: its
-	// work is proportional to the delta's affected neighborhood, which is
-	// small by construction whenever the path is taken at all.
-	Workers int
-	// Check is the cooperative cancellation checkpoint (nil: never cancel).
-	Check func() error
-	// MaxAffectedFrac overrides DefaultMaxAffectedFrac when positive.
-	MaxAffectedFrac float64
-}
+// complex-object matrix, the sparse bookkeeping has lost its edge over
+// re-seeding every pair densely and the evaluator recomputes from scratch.
+const maxAffectedFrac = 0.25
 
 // EvalGFPSnapIncr maintains a greatest fixpoint across a delta: given the
 // parent database's fixpoint and a description of what changed — the type
@@ -76,16 +63,24 @@ type IncrOptions struct {
 // single-decrement invariant holds with no frozen snapshot of the
 // membership.
 //
+// workers bounds the parallelism of the full-recompute fallback (<= 0 means
+// one per CPU, 1 serial); the incremental path itself is serial, its work
+// proportional to the delta's affected neighborhood. check is the
+// cooperative cancellation checkpoint (nil: never cancel).
+//
 // The second return value reports whether the incremental path was used;
 // false means the evaluator fell back to EvalGFP (nil parent, or
-// raised-plus-materialized pairs exceeding MaxAffectedFrac of the type ×
+// raised-plus-materialized pairs exceeding maxAffectedFrac of the type ×
 // object matrix). Either way the returned extent is the unique greatest
 // fixpoint. Result rows of types the delta left completely untouched alias
 // the parent extent's rows; extents must be treated as immutable.
-func EvalGFPSnapIncr(p *Program, snap *compile.Snapshot, parent *Extent, changedTypes []int, touched []graph.ObjectID, opts IncrOptions) (*Extent, bool, error) {
-	if parent == nil {
-		ext, err := EvalGFP(p, snap, opts.Workers, opts.Check)
+func EvalGFPSnapIncr(p *Program, snap *compile.Snapshot, parent *Extent, changedTypes []int, touched []graph.ObjectID, workers int, check func() error) (*Extent, bool, error) {
+	fallback := func() (*Extent, bool, error) {
+		ext, err := EvalGFP(p, snap, workers, check)
 		return ext, false, err
+	}
+	if parent == nil {
+		return fallback()
 	}
 	// Liveness probes and lazy count materialization chase edges from the
 	// affected set across arbitrary shards, repeatedly; like the full
@@ -96,18 +91,9 @@ func EvalGFPSnapIncr(p *Program, snap *compile.Snapshot, parent *Extent, changed
 	nT := len(p.Types)
 	nTOld := len(parent.Member)
 	nC := snap.NumComplex()
-	frac := opts.MaxAffectedFrac
-	if frac <= 0 {
-		frac = DefaultMaxAffectedFrac
-	}
-	budget := int(frac * float64(nT) * float64(nC))
+	budget := int(maxAffectedFrac * float64(nT) * float64(nC))
 	if budget < 1 {
 		budget = 1
-	}
-	check := opts.Check
-	fallback := func() (*Extent, bool, error) {
-		ext, err := EvalGFP(p, snap, opts.Workers, opts.Check)
-		return ext, false, err
 	}
 
 	changed := make([]bool, nT)

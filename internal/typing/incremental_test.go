@@ -66,15 +66,16 @@ func incrCase(t *testing.T, db *graph.DB, delta *graph.Delta) (qd2 *typing.Progr
 }
 
 // TestIncrMatchesFull checks that incremental maintenance lands on the exact
-// fixpoint the full evaluator computes, both when the incremental path is
-// taken and when the budget forces the fallback.
+// fixpoint the full evaluator computes on both sides of its internal bound on
+// the affected region: moving one edge stays inside the bound and runs
+// incrementally, while detaching a third of the objects falls back to the
+// full evaluation.
 func TestIncrMatchesFull(t *testing.T) {
 	type tc struct {
-		name  string
-		db    *graph.DB
-		delta func(db *graph.DB) *graph.Delta
+		name string
+		db   *graph.DB
 	}
-	edgeDelta := func(db *graph.DB) *graph.Delta {
+	moveEdge := func(db *graph.DB) *graph.Delta {
 		// Move one existing-label edge between existing objects.
 		var edges []graph.Edge
 		db.Links(func(e graph.Edge) { edges = append(edges, e) })
@@ -90,6 +91,26 @@ func TestIncrMatchesFull(t *testing.T) {
 		d.AddLink(db.Name(far), db.Name(e.To), e.Label)
 		return d
 	}
+	detachThird := func(db *graph.DB) *graph.Delta {
+		// A detached object's rule is empty, so every complex object is a
+		// candidate for its type: a third of them put a third of the
+		// type × object matrix in play.
+		d := &graph.Delta{}
+		for i, o := range db.ComplexObjects() {
+			if i%3 == 0 {
+				d.RemoveObject(db.Name(o))
+			}
+		}
+		return d
+	}
+	deltas := []struct {
+		name     string
+		build    func(db *graph.DB) *graph.Delta
+		wantIncr bool
+	}{
+		{"move one edge", moveEdge, true},
+		{"detach a third of the objects", detachThird, false},
+	}
 	var cases []tc
 	for _, no := range []int{5, 6, 7, 8} { // graph-shaped presets: the GFP route
 		p := synth.Presets()[no-1]
@@ -97,42 +118,35 @@ func TestIncrMatchesFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, tc{fmt.Sprintf("DB%d", no), db, edgeDelta})
+		cases = append(cases, tc{fmt.Sprintf("DB%d", no), db})
 	}
 	dbgDB, _ := dbg.Generate(dbg.Options{})
-	cases = append(cases, tc{"dbg", dbgDB, edgeDelta})
+	cases = append(cases, tc{"dbg", dbgDB})
 
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			qd2, snap2, parent, changed, eff, want := incrCase(t, c.db, c.delta(c.db))
+			for _, dl := range deltas {
+				qd2, snap2, parent, changed, eff, want := incrCase(t, c.db, dl.build(c.db))
 
-			got, incr, err := typing.EvalGFPSnapIncr(qd2, snap2, parent, changed, eff.Touched, typing.IncrOptions{MaxAffectedFrac: 1.0})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !incr {
-				t.Fatalf("budget 1.0 fell back to full recompute (affected region should fit)")
-			}
-			if !got.Equal(want) {
-				t.Fatalf("incremental extent differs from full recompute")
-			}
+				got, incr, err := typing.EvalGFPSnapIncr(qd2, snap2, parent, changed, eff.Touched, 1, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if incr != dl.wantIncr {
+					t.Fatalf("%s: incremental = %v, want %v", dl.name, incr, dl.wantIncr)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("%s: extent differs from full recompute", dl.name)
+				}
 
-			got, incr, err = typing.EvalGFPSnapIncr(qd2, snap2, parent, changed, eff.Touched, typing.IncrOptions{MaxAffectedFrac: 1e-9})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if incr {
-				t.Fatalf("budget 1e-9 did not fall back")
-			}
-			if !got.Equal(want) {
-				t.Fatalf("fallback extent differs from full recompute")
-			}
-
-			if got, _, err = typing.EvalGFPSnapIncr(qd2, snap2, nil, changed, eff.Touched, typing.IncrOptions{}); err != nil {
-				t.Fatal(err)
-			} else if !got.Equal(want) {
-				t.Fatalf("nil-parent extent differs from full recompute")
+				got, incr, err = typing.EvalGFPSnapIncr(qd2, snap2, nil, changed, eff.Touched, 0, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if incr || !got.Equal(want) {
+					t.Fatalf("%s: nil parent: incremental = %v, extent equal = %v", dl.name, incr, got.Equal(want))
+				}
 			}
 		})
 	}
@@ -154,7 +168,7 @@ func TestIncrGrowth(t *testing.T) {
 	d.AddLink("fresh", "fresh.v", label)
 
 	qd2, snap2, parent, changed, eff, want := incrCase(t, db, d)
-	got, incr, err := typing.EvalGFPSnapIncr(qd2, snap2, parent, changed, eff.Touched, typing.IncrOptions{MaxAffectedFrac: 1.0})
+	got, incr, err := typing.EvalGFPSnapIncr(qd2, snap2, parent, changed, eff.Touched, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,13 +164,12 @@ func PrepareContext(ctx context.Context, g *Graph) (p *Prepared, err error) {
 }
 
 // PrepareOptions is PrepareContext honoring the preparation-relevant options:
-// Parallelism (compile workers), Shards (snapshot layout), and MemBudget
-// (resident-shard bytes; snapshots derived through Apply inherit the budget).
-// All three are resource knobs only — extraction results are bit-identical
-// at any setting.
+// Parallelism (compile workers) and MemBudget (resident-shard bytes;
+// snapshots derived through Apply inherit the budget). Both are resource
+// knobs only — extraction results are bit-identical at any setting.
 func PrepareOptions(ctx context.Context, g *Graph, opts Options) (p *Prepared, err error) {
 	defer recoverInternal(&err)
-	cp, err := core.Prepare(ctx, g.db, opts.Parallelism, opts.Shards, opts.MemBudget)
+	cp, err := core.Prepare(ctx, g.db, opts.Parallelism, 0, opts.MemBudget)
 	if err != nil {
 		return nil, err
 	}

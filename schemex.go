@@ -196,31 +196,10 @@ type Options struct {
 	// serial code paths. The extracted schema, assignment, and defect are
 	// bit-identical at any setting, so this is purely a resource knob.
 	Parallelism int
-	// Shards partitions the compiled snapshot's object space into
-	// fixed-range shards: 0 sizes shards automatically from the graph, 1
-	// forces the single flat block of the pre-sharding layout, k > 1
-	// requests (at most) k shards. Sharding lets compilation, incremental
-	// Apply, and the typing fixpoint work shard-parallel, and lets servers
-	// lock mutations per shard. Results are bit-identical at any setting,
-	// so this too is purely a resource knob.
-	Shards int
 	// Limits bounds the resources an extraction may consume (object/link/
 	// type counts and wall-clock time; the loader-side caps apply to the
 	// *Limits loader functions). Violations surface as *LimitError.
 	Limits Limits
-	// MaxAffectedFrac tunes incremental re-extraction after Prepared.Apply:
-	// when a delta's affected region of the Stage 1 fixpoint exceeds this
-	// fraction of the (types × objects) space, the evaluator falls back to
-	// a full recompute. <= 0 uses the default (0.25). Purely a performance
-	// knob — results are bit-identical on either path.
-	MaxAffectedFrac float64
-	// MaxDirtyTypesFrac tunes incremental Stages 2–3 the same way: when a
-	// delta leaves more than this fraction of the Stage 1 types dirty, warm
-	// clustering falls back to a full distance-matrix seeding, and the same
-	// budget caps the fraction of objects the warm recast may reclassify.
-	// <= 0 uses the default (0.25). Purely a performance knob — results are
-	// bit-identical on either path.
-	MaxDirtyTypesFrac float64
 	// MemBudget bounds the bytes of compiled shard data held resident in
 	// memory at once: shards past the budget spill to disk through a
 	// checksummed per-shard codec and fault back in on access (LRU, shared
@@ -233,21 +212,15 @@ type Options struct {
 
 func (o Options) toCore() (core.Options, error) {
 	co := core.Options{
-		K:                 o.K,
-		AllowEmpty:        o.AllowEmpty,
-		MultiRole:         o.MultiRole,
-		UseSorts:          o.UseSorts,
-		ValueLabels:       o.ValueLabels,
-		UseBisimulation:   o.UseBisimulation,
-		Parallelism:       o.Parallelism,
-		Shards:            o.Shards,
-		Limits:            o.Limits.pipeline(),
-		MaxAffectedFrac:   o.MaxAffectedFrac,
-		MaxDirtyTypesFrac: o.MaxDirtyTypesFrac,
-		MemBudget:         o.MemBudget,
-	}
-	if co.MaxDirtyTypesFrac < 0 {
-		co.MaxDirtyTypesFrac = 0
+		K:               o.K,
+		AllowEmpty:      o.AllowEmpty,
+		MultiRole:       o.MultiRole,
+		UseSorts:        o.UseSorts,
+		ValueLabels:     o.ValueLabels,
+		UseBisimulation: o.UseBisimulation,
+		Parallelism:     o.Parallelism,
+		Limits:          o.Limits.pipeline(),
+		MemBudget:       o.MemBudget,
 	}
 	if o.Delta != "" {
 		d, ok := cluster.DeltaByName(o.Delta)

@@ -169,8 +169,9 @@ func (p *Prepared) ApplyBatchContext(ctx context.Context, ds ...*Delta) (np *Pre
 func (p *Prepared) Version() uint64 { return p.prep.Version() }
 
 // NumShards reports how many fixed-range object shards the session's
-// compiled snapshot is partitioned into (see Options.Shards). Sessions
-// derived through Apply inherit the layout.
+// compiled snapshot is partitioned into (about 8192 objects per shard, so
+// small graphs stay single-shard). Sessions derived through Apply inherit
+// the layout.
 func (p *Prepared) NumShards() int { return p.prep.NumShards() }
 
 // SetBaseVersion rebases the session version counter, the hook durable
