@@ -61,22 +61,3 @@ func TestDriftEmptyGraphPolicy(t *testing.T) {
 		t.Fatal("empty report should not trigger")
 	}
 }
-
-func TestUseBisimulationPublicAPI(t *testing.T) {
-	g := buildQuickstart()
-	a, err := Extract(g, Options{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Extract(g, Options{K: 2, UseBisimulation: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.PerfectTypes() != b.PerfectTypes() || a.Defect() != b.Defect() {
-		t.Fatalf("bisim engine diverged: %d/%d vs %d/%d",
-			a.PerfectTypes(), a.Defect(), b.PerfectTypes(), b.Defect())
-	}
-	if _, err := Extract(g, Options{UseBisimulation: true, UseSorts: true}); err == nil {
-		t.Fatal("bisim + sorts accepted")
-	}
-}

@@ -1,6 +1,7 @@
 package schemex_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -58,7 +59,7 @@ func ExampleCheck() {
 	g.LinkAtom("rec1", "mail", "y")
 	g.LinkAtom("rec2", "name", "z") // mail missing: rec2 satisfies nothing
 
-	report, err := schemex.Check(g, "type person = ->name[0] & ->mail[0]")
+	report, err := schemex.Check(context.Background(), g, "type person = ->name[0] & ->mail[0]")
 	if err != nil {
 		log.Fatal(err)
 	}

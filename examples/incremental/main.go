@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -52,7 +53,7 @@ func main() {
 	}
 
 	// Conformance report for the grown graph against the old schema.
-	report, err := schemex.Check(g, schema)
+	report, err := schemex.Check(context.Background(), g, schema)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package schemex
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -179,7 +180,7 @@ func TestCheckConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := Check(g, res.Schema())
+	report, err := Check(context.Background(), g, res.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestCheckConformance(t *testing.T) {
 
 	// Break conformance: an alien object and an unjustified edge.
 	g.LinkAtom("stray", "hobby", "golf")
-	report, err = Check(g, res.Schema())
+	report, err = Check(context.Background(), g, res.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestCheckConformance(t *testing.T) {
 		t.Fatalf("report = %+v, want excess > 0 and 1 unclassified", report)
 	}
 
-	if _, err := Check(g, "type broken = ->x[nowhere]"); err == nil {
+	if _, err := Check(context.Background(), g, "type broken = ->x[nowhere]"); err == nil {
 		t.Fatal("broken schema accepted")
 	}
 }
@@ -236,7 +237,7 @@ func TestValueLabelsPublicAPI(t *testing.T) {
 		t.Fatalf("a %v and c %v should differ by sex", ta, tc)
 	}
 	// The value-typed schema re-parses and the data conforms to it.
-	report, err := Check(g, res.Schema())
+	report, err := Check(context.Background(), g, res.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestCheckNoDeficitUnderGFP(t *testing.T) {
 	g.LinkAtom("full", "a", "1")
 	g.LinkAtom("full", "b", "2")
 	g.LinkAtom("partial", "a", "1")
-	report, err := Check(g, "type ab = ->a[0] & ->b[0]")
+	report, err := Check(context.Background(), g, "type ab = ->a[0] & ->b[0]")
 	if err != nil {
 		t.Fatal(err)
 	}

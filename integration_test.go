@@ -2,6 +2,7 @@ package schemex_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"strings"
 	"testing"
@@ -64,7 +65,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 	}
 
 	// The perfect schema conforms; the extracted schema re-parses.
-	report, err := schemex.Check(g, res.PerfectSchema())
+	report, err := schemex.Check(context.Background(), g, res.PerfectSchema())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func RunContext(ctx context.Context, args []string, env *Env) int {
 	case "convert":
 		err = cmdConvert(rest, env)
 	case "check":
-		err = cmdCheck(rest, env)
+		err = cmdCheck(ctx, rest, env)
 	case "validate":
 		err = cmdValidate(rest, env)
 	case "stats":
@@ -703,7 +703,7 @@ func cmdConvert(args []string, env *Env) error {
 	}
 }
 
-func cmdCheck(args []string, env *Env) error {
+func cmdCheck(ctx context.Context, args []string, env *Env) error {
 	fs := newFlagSet("check", env)
 	schemaPath := fs.String("schema", "", "schema file in arrow notation (required)")
 	oem := fs.Bool("oem", false, "input is OEM syntax")
@@ -725,7 +725,7 @@ func cmdCheck(args []string, env *Env) error {
 	if err != nil {
 		return err
 	}
-	report, err := schemex.Check(g, string(schemaBytes))
+	report, err := schemex.Check(ctx, g, string(schemaBytes))
 	if err != nil {
 		return err
 	}

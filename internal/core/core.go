@@ -44,9 +44,6 @@ type Options struct {
 	Recast *recast.Options
 	// NameFor overrides Stage 1 class naming.
 	NameFor func(db *graph.DB, members []graph.ObjectID, classIdx int) string
-	// UseBisimulation selects bisimulation partition refinement as the
-	// Stage 1 engine (faster; refines the paper's equivalence).
-	UseBisimulation bool
 	// UseSorts distinguishes atomic targets by value sort (Remark 2.1)
 	// throughout the pipeline.
 	UseSorts bool
@@ -169,12 +166,11 @@ func (o Options) recastOptions(check func() error) recast.Options {
 
 func (o Options) perfectOptions(check func() error) perfect.Options {
 	return perfect.Options{
-		NameFor:         o.NameFor,
-		UseSorts:        o.UseSorts,
-		ValueLabels:     o.ValueLabels,
-		UseBisimulation: o.UseBisimulation,
-		Parallelism:     o.Parallelism,
-		Check:           check,
+		NameFor:     o.NameFor,
+		UseSorts:    o.UseSorts,
+		ValueLabels: o.ValueLabels,
+		Parallelism: o.Parallelism,
+		Check:       check,
 	}
 }
 
@@ -445,9 +441,8 @@ func stage23KeyOf(opts Options) (stage23Key, bool) {
 // (parallelism and cancellation never do; naming does, so non-nil NameFor
 // disables the memo — func values cannot be compared).
 type stage1Key struct {
-	useSorts        bool
-	useBisimulation bool
-	valueLabels     string
+	useSorts    bool
+	valueLabels string
 }
 
 func stage1KeyOf(opts Options) (stage1Key, bool) {
@@ -455,9 +450,8 @@ func stage1KeyOf(opts Options) (stage1Key, bool) {
 		return stage1Key{}, false
 	}
 	return stage1Key{
-		useSorts:        opts.UseSorts,
-		useBisimulation: opts.UseBisimulation,
-		valueLabels:     strings.Join(opts.ValueLabels, "\x00"),
+		useSorts:    opts.UseSorts,
+		valueLabels: strings.Join(opts.ValueLabels, "\x00"),
 	}, true
 }
 

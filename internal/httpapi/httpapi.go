@@ -47,7 +47,7 @@ const MaxBody = 32 << 20
 // ExtractLimits is the resource budget applied to every extract, sweep and
 // guided query request: the input already passed MaxBody, so the graph caps
 // mirror that scale, and the wall-clock cap keeps one adversarial dataset
-// from pinning a worker forever.
+// from pinning a worker forever. /v1/check obeys the wall-clock cap too.
 var ExtractLimits = schemex.Limits{MaxWallTime: 2 * time.Minute}
 
 // extractStatus maps an extraction error to an HTTP status: client-closed
@@ -672,9 +672,19 @@ func handleCheck(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	report, err := schemex.Check(g, req.Schema)
+	ctx := r.Context()
+	if d := ExtractLimits.MaxWallTime; d > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
+	}
+	report, err := schemex.Check(ctx, g, req.Schema)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			status = extractStatus(err)
+		}
+		writeError(w, status, err)
 		return
 	}
 	writeJSON(w, checkResponse{

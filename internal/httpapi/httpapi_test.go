@@ -173,6 +173,23 @@ func TestGuidedQueryWallClock(t *testing.T) {
 	}
 }
 
+// TestCheckWallClock: a check evaluates a client-supplied schema's
+// fixpoint, so it obeys ExtractLimits' wall-clock cap.
+func TestCheckWallClock(t *testing.T) {
+	saved := ExtractLimits
+	t.Cleanup(func() { ExtractLimits = saved })
+	ExtractLimits = schemex.Limits{MaxWallTime: time.Nanosecond}
+
+	srv := httptest.NewServer(Handler())
+	defer srv.Close()
+	status, out := post(t, srv, "/v1/check", mustJSON(t, map[string]interface{}{
+		"data": sampleText, "schema": "type person = ->name[0]",
+	}))
+	if status != http.StatusServiceUnavailable || out["error"] == nil {
+		t.Fatalf("check past its wall-clock cap: status %d, want 503 (%v)", status, out)
+	}
+}
+
 func TestErrors(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()

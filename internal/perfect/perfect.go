@@ -9,10 +9,11 @@ package perfect
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
-	"schemex/internal/bisim"
+	"schemex/internal/bitset"
 	"schemex/internal/compile"
 	"schemex/internal/graph"
 	"schemex/internal/par"
@@ -33,7 +34,8 @@ type Result struct {
 	// Extent is the greatest fixpoint of Program on the database. It may
 	// assign objects to types beyond their home type: the rules contain no
 	// negation, so an object with more typed links than a type requires is
-	// also in that type (§4.2).
+	// also in that type (§4.2). On the GFP route its rows alias QDExtent's
+	// (see Minimal); extents are immutable.
 	Extent *typing.Extent
 
 	// QD retains the per-object program Q_D on every route: a warm restart
@@ -41,15 +43,15 @@ type Result struct {
 	// delta did not touch, skipping their reconstruction entirely. QDExtent
 	// additionally retains the Q_D greatest fixpoint when Stage 1 went
 	// through the general GFP route — the state needed to maintain that
-	// fixpoint incrementally. QDExtent is nil on the bipartite,
-	// bisimulation, and naive-GFP paths, which compute no reusable fixpoint.
+	// fixpoint incrementally, and the rows Extent is derived from. QDExtent
+	// is nil on the bipartite path, which computes no Q_D fixpoint.
 	QD       *typing.Program
 	QDExtent *typing.Extent
-	// WarmUsed reports that at least one of the Stage 1 fixpoints (Q_D or
-	// P_D) was maintained incrementally from a parent extraction's state.
-	// False for cold runs and for warm starts whose fixpoint evaluations all
-	// fell back to the full evaluation (typing.EvalGFPSnapIncr's bound on
-	// the affected region). Observability only — the result is
+	// WarmUsed reports that the Q_D fixpoint was maintained incrementally
+	// from a parent extraction's state. False for cold runs, for bipartite
+	// data (which runs no Q_D fixpoint), and for warm starts whose
+	// evaluation fell back to the full one (typing.EvalGFPSnapIncr's bound
+	// on the affected region). Observability only — the result is
 	// bit-identical either way.
 	WarmUsed bool
 
@@ -88,13 +90,6 @@ type Options struct {
 	// the stage with that error. Checks never alter computed values, so the
 	// determinism guarantee is unaffected.
 	Check func() error
-	// UseBisimulation derives the Stage 1 partition by bisimulation
-	// partition refinement (internal/bisim) instead of the GFP extent
-	// quotient. Bisimulation always refines the paper's equivalence (it can
-	// only split more, never merge more) and is typically much faster; on
-	// all of this repository's datasets the two coincide. Not compatible
-	// with UseSorts/ValueLabels (the refinement works on raw labels).
-	UseBisimulation bool
 }
 
 func (o Options) pictureOpts() typing.PictureOpts {
@@ -228,7 +223,7 @@ func buildQDWarm(snap *compile.Snapshot, opts typing.PictureOpts, warm *Warm, ch
 		}
 		t := qdTypeFor(snap, opts, o)
 		types[i] = t
-		if i >= nOld || !rulesEqual(t.Links, parentQD.Types[i].Links) {
+		if i >= nOld || !slices.Equal(t.Links, parentQD.Types[i].Links) {
 			changed = append(changed, i)
 		}
 	}
@@ -243,8 +238,8 @@ func buildQDWarm(snap *compile.Snapshot, opts typing.PictureOpts, warm *Warm, ch
 type Warm struct {
 	// Parent is the parent extraction's full Stage 1 result, computed with
 	// the same Stage 1 options. Its retained Q_D supplies per-object rules
-	// for untouched positions, and its extents warm both fixpoint
-	// evaluations.
+	// for untouched positions, and its retained Q_D extent warms the
+	// fixpoint evaluation.
 	Parent *Result
 	// Touched lists the delta-touched objects (compile.ApplyInfo.Touched):
 	// every object whose local picture — edges, or an atomic's sort/value —
@@ -254,24 +249,30 @@ type Warm struct {
 }
 
 // Minimal computes the minimal perfect typing of the snapshot's database
-// (the full Stage 1 algorithm of §4.1). Q_D construction, both
-// greatest-fixpoint evaluations, and the bisimulation position lookups all
-// read the snapshot's shared positions and label table.
+// (the full Stage 1 algorithm of §4.1). Q_D construction and the
+// greatest-fixpoint evaluation read the snapshot's shared positions and
+// label table.
+//
+// Stage 1 has one route per input shape. Bipartite data (every link
+// targets an atomic object) is grouped by label set, and its non-recursive
+// P_D is evaluated directly. Otherwise Stage 1 runs one fixpoint, Q_D's,
+// and class ci's P_D row aliases the Q_D row of its first member: a Q_D row
+// is the set of objects simulating its object, those rows are a P_D
+// fixpoint, and none is larger, since any P_D fixpoint composed with
+// simulation is a simulation.
 //
 // warm is an optional warm start (nil means cold). Against a parent
 // extraction's retained state, Q_D construction reuses the parent's
-// per-object rules for untouched positions, and the Q_D and P_D fixpoints
-// are maintained incrementally via typing.EvalGFPSnapIncr. Grouping and
-// naming always run cold: both are linear passes. The bisimulation and
-// naive-GFP routes ignore warm (they are the reference paths and run no
-// reusable fixpoint). Results are bit-identical with and without warm, at
-// any Parallelism.
+// per-object rules for untouched positions, and the Q_D fixpoint is
+// maintained incrementally via typing.EvalGFPSnapIncr. Grouping, naming and
+// the bipartite P_D evaluation always run cold: none iterates. The naive-GFP
+// route ignores warm (it is the reference path). Results are bit-identical
+// with and without warm, at any Parallelism.
 func Minimal(snap *compile.Snapshot, opts Options, warm *Warm) (*Result, error) {
 	db := snap.DB()
 	workers := par.Workers(opts.Parallelism)
 	check := opts.Check
-	warmOK := warm != nil && warm.Parent != nil && warm.Parent.QD != nil &&
-		!opts.UseNaiveGFP && !opts.UseBisimulation
+	warmOK := warm != nil && warm.Parent != nil && warm.Parent.QD != nil && !opts.UseNaiveGFP
 	var qd *typing.Program
 	var objs []graph.ObjectID
 	var qdChanged []int // positions whose rules differ from the parent's (warm only)
@@ -293,51 +294,24 @@ func Minimal(snap *compile.Snapshot, opts Options, warm *Warm) (*Result, error) 
 	var classOf []int
 	var classes [][]int
 	grouped := false
-	if opts.UseBisimulation {
-		if opts.UseSorts || len(opts.ValueLabels) > 0 {
-			return nil, fmt.Errorf("perfect: bisimulation Stage 1 does not support sort or value refinements")
-		}
-		part, err := bisim.Compute(db, check)
-		if err != nil {
-			return nil, err
-		}
-		classOf = make([]int, len(objs))
-		classes = make([][]int, part.NumBlocks())
-		for b, block := range part.Blocks {
-			for _, o := range block {
-				classes[b] = append(classes[b], int(snap.Pos[o]))
-				classOf[snap.Pos[o]] = b
-			}
-		}
-		grouped = true
-	}
-	if !grouped && !opts.UseNaiveGFP { // the naive flag doubles as "reference path" for tests
+	if !opts.UseNaiveGFP { // the naive flag doubles as "reference path" for tests
 		classOf, classes, grouped = bipartiteClasses(qd)
 	}
-	var qdExtent *typing.Extent // retained for Result.QDExtent on the GFP route
+	var extent *typing.Extent // the Q_D fixpoint, on the GFP route
 	warmUsed := false
 	if !grouped {
-		var extent *typing.Extent
 		if opts.UseNaiveGFP {
 			extent = typing.EvalGFPNaive(qd, db)
 		} else if warmOK && warm.Parent.QDExtent != nil {
 			// buildQDWarm already diffed every rebuilt rule against the
 			// parent's Q_D, so qdChanged is the changed-type set; touched
 			// objects supply the affected columns.
-			var err error
 			extent, warmUsed, err = typing.EvalGFPSnapIncr(qd, snap, warm.Parent.QDExtent, qdChanged, warm.Touched, workers, check)
-			if err != nil {
-				return nil, err
-			}
 		} else {
-			var err error
 			extent, err = typing.EvalGFP(qd, snap, workers, check)
-			if err != nil {
-				return nil, err
-			}
 		}
-		if !opts.UseNaiveGFP {
-			qdExtent = extent
+		if err != nil {
+			return nil, err
 		}
 
 		// Group types with equal extents. Types are in bijection with
@@ -378,6 +352,7 @@ func Minimal(snap *compile.Snapshot, opts Options, warm *Warm) (*Result, error) 
 	result := &Result{
 		Home:    make(map[graph.ObjectID]int, len(objs)),
 		Classes: make([][]graph.ObjectID, len(classes)),
+		QD:      qd,
 		db:      db,
 	}
 	for ci, members := range classes {
@@ -420,52 +395,21 @@ func Minimal(snap *compile.Snapshot, opts Options, warm *Warm) (*Result, error) 
 		return nil, fmt.Errorf("perfect: internal error building P_D: %v", err)
 	}
 	result.Program = pd
-	if opts.UseNaiveGFP {
-		result.Extent = typing.EvalGFPNaive(pd, db)
-	} else if warmOK && warm.Parent.Extent != nil {
-		// Warm the P_D fixpoint from the parent's. The changed-type set is a
-		// full positional diff against the parent's P_D rules, so it is sound
-		// regardless of how classes were renumbered — a renumbering just
-		// shows up as many changed rules and trips the budget fallback. A
-		// type's extent depends only on its rule and the database, never on
-		// class membership, so positionally identical rules keep their rows.
-		parentPD := warm.Parent.Program
-		var changedPD []int
-		for ci, t := range pd.Types {
-			if ci >= len(parentPD.Types) || !rulesEqual(t.Links, parentPD.Types[ci].Links) {
-				changedPD = append(changedPD, ci)
-			}
-		}
-		ext, pdWarm, err := typing.EvalGFPSnapIncr(pd, snap, warm.Parent.Extent, changedPD, warm.Touched, workers, check)
+	if grouped {
+		result.Extent, err = typing.EvalGFP(pd, snap, workers, check)
 		if err != nil {
 			return nil, err
 		}
-		result.Extent = ext
-		warmUsed = warmUsed || pdWarm
-	} else {
-		ext, err := typing.EvalGFP(pd, snap, workers, check)
-		if err != nil {
-			return nil, err
-		}
-		result.Extent = ext
+		return result, nil
 	}
-	result.QD = qd
-	result.QDExtent = qdExtent
+	rows := make([]*bitset.Set, len(classes))
+	for ci, members := range classes {
+		rows[ci] = extent.Member[members[0]]
+	}
+	result.Extent = &typing.Extent{Program: pd, DB: db, Member: rows}
+	result.QDExtent = extent
 	result.WarmUsed = warmUsed
 	return result, nil
-}
-
-// rulesEqual reports whether two canonical link lists are identical.
-func rulesEqual(a, b []typing.TypedLink) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // bipartiteClasses groups Q_D types by their canonical link sets when every

@@ -346,6 +346,12 @@ func EvalGFP(p *Program, snap *compile.Snapshot, workers int, check func() error
 	}); err != nil {
 		return nil, err
 	}
+	// For Q_D the initial removals number O(n²): size the queue once.
+	total := 0
+	for _, list := range initRemoved {
+		total += len(list)
+	}
+	queue = make([]removal, 0, total)
 	for ti, list := range initRemoved {
 		for _, o := range list {
 			queue = append(queue, removal{ti, o})

@@ -39,12 +39,13 @@ const maxAffectedFrac = 0.25
 // witness filter: every link of the type has at least one edge of the right
 // direction and label at the object, with atomic sort/value constraints
 // checked exactly). On top of that, candidate raises propagate: starting
-// from the fresh-minus-stale members of changed rows and the non-member
-// pairs of touched columns whose added edges could witness a link the
-// parent database did not witness at all, any pair adjacent to a raised
-// pair through the program's reverse dependencies is raised too when it
-// passes the witness filter, until closure. M₀ then contains the new
-// fixpoint: a pair outside M₀ and the raises failed the parent fixpoint for
+// from the fresh-minus-stale members of changed rows, the candidate pairs
+// of new objects, and the non-member pairs of touched columns whose added
+// edges could witness a link the parent database did not witness at all,
+// any pair adjacent to a raised pair through the program's reverse
+// dependencies is raised too when it passes the witness filter, until
+// closure. M₀ then contains the new fixpoint: a pair outside M₀ and the
+// raises existed in the parent database, failed the parent fixpoint for
 // lack of a witness, gained no own-edge witness the parent lacked, and is
 // not adjacent to any raised pair — so a family of such pairs inside the
 // new fixpoint has every link witnessed in the parent database by the
@@ -332,8 +333,14 @@ func EvalGFPSnapIncr(p *Program, snap *compile.Snapshot, parent *Extent, changed
 	}
 	var addedOut, addedIn []aedge
 	// raiseNeeded reports whether some link of t gains a possible witness
-	// from o's added edges that the parent lacked entirely.
+	// from o's added edges that the parent lacked entirely. A new object was
+	// never a parent non-member: raise it wherever it is a candidate, even
+	// for a type with no links.
+	nOld := pdb.NumObjects()
 	raiseNeeded := func(t int, o graph.ObjectID) bool {
+		if int(o) >= nOld {
+			return true
+		}
 		links := p.Types[t].Links
 		labs := labelOf[t]
 		for li, l := range links {

@@ -103,12 +103,20 @@ func TestIncrMatchesFull(t *testing.T) {
 		}
 		return d
 	}
+	attachNew := func(db *graph.DB) *graph.Delta {
+		// The new object joins every type whose links it can witness,
+		// including a type with no links (DB6 has one).
+		d := &graph.Delta{}
+		d.AddLink(db.Name(db.ComplexObjects()[0]), "fresh", db.Labels()[0])
+		return d
+	}
 	deltas := []struct {
 		name     string
 		build    func(db *graph.DB) *graph.Delta
 		wantIncr bool
 	}{
 		{"move one edge", moveEdge, true},
+		{"attach a new object", attachNew, true},
 		{"detach a third of the objects", detachThird, false},
 	}
 	var cases []tc

@@ -143,7 +143,7 @@ func TestInternalErrorRecovery(t *testing.T) {
 		t.Fatalf("unhelpful message %q", ie.Error())
 	}
 
-	if _, err := schemex.Check(&g, "type a = ->x[0]"); !errors.As(err, &ie) {
+	if _, err := schemex.Check(context.Background(), &g, "type a = ->x[0]"); !errors.As(err, &ie) {
 		t.Fatalf("Check: got %v, want *InternalError", err)
 	}
 	if _, err := schemex.SweepAnalysisContext(context.Background(), &g, schemex.Options{}); !errors.As(err, &ie) {

@@ -186,11 +186,6 @@ type Options struct {
 	// objects whose sex value is "Male" and objects whose sex value is
 	// "Female" fall into different types (->sex[0="Male"]).
 	ValueLabels []string
-	// UseBisimulation selects bisimulation partition refinement as the
-	// Stage 1 engine. It refines the paper's extent equivalence (never
-	// coarser, typically identical) and is usually much faster on large
-	// recursive datasets. Incompatible with UseSorts/ValueLabels.
-	UseBisimulation bool
 	// Parallelism bounds the worker goroutines used inside each extraction
 	// stage. <= 0 (the default) uses one worker per CPU; 1 runs the exact
 	// serial code paths. The extracted schema, assignment, and defect are
@@ -212,15 +207,14 @@ type Options struct {
 
 func (o Options) toCore() (core.Options, error) {
 	co := core.Options{
-		K:               o.K,
-		AllowEmpty:      o.AllowEmpty,
-		MultiRole:       o.MultiRole,
-		UseSorts:        o.UseSorts,
-		ValueLabels:     o.ValueLabels,
-		UseBisimulation: o.UseBisimulation,
-		Parallelism:     o.Parallelism,
-		Limits:          o.Limits.pipeline(),
-		MemBudget:       o.MemBudget,
+		K:           o.K,
+		AllowEmpty:  o.AllowEmpty,
+		MultiRole:   o.MultiRole,
+		UseSorts:    o.UseSorts,
+		ValueLabels: o.ValueLabels,
+		Parallelism: o.Parallelism,
+		Limits:      o.Limits.pipeline(),
+		MemBudget:   o.MemBudget,
 	}
 	if o.Delta != "" {
 		d, ok := cluster.DeltaByName(o.Delta)
@@ -482,18 +476,19 @@ func (c *CheckReport) Conforms() bool { return c.Excess == 0 && c.Unclassified =
 // fixpoint on the data and reports extent sizes, excess facts, and
 // unclassified objects. This is the conformance direction of the paper's
 // defect measure: under greatest-fixpoint semantics there can be excess but
-// never deficit (§2).
-func Check(g *Graph, schema string) (report *CheckReport, err error) {
+// never deficit (§2). The fixpoint stops at its next checkpoint once ctx is
+// cancelled or past its deadline, returning ctx.Err().
+func Check(ctx context.Context, g *Graph, schema string) (report *CheckReport, err error) {
 	defer recoverInternal(&err)
 	p, err := typing.Parse(schema)
 	if err != nil {
 		return nil, err
 	}
-	snap, err := compile.Compile(g.db, 0, 1, 0, nil)
+	snap, err := compile.Compile(g.db, 0, 1, 0, ctx.Err)
 	if err != nil {
 		return nil, err
 	}
-	ext, err := typing.EvalGFP(p, snap, 1, nil)
+	ext, err := typing.EvalGFP(p, snap, 1, ctx.Err)
 	if err != nil {
 		return nil, err
 	}
