@@ -1,13 +1,15 @@
-// Property tests for delta sessions: for any delta stream, Prepared.Apply
-// followed by ExtractPrepared must be observationally identical to loading
-// and extracting the mutated graph from scratch — byte-identical schemas,
-// defects, and per-object assignments — at serial and parallel execution,
-// across the Table 1 shapes and the DBG dataset, whichever path Apply took
+// Property tests for delta sessions: for any delta stream, ApplyContext
+// followed by ExtractPreparedContext must be observationally identical to
+// loading and extracting the mutated graph from scratch — byte-identical
+// schemas, defects, and per-object assignments — at serial and parallel
+// execution, across the Table 1 shapes and the DBG dataset, whichever path
+// the apply took
 // (structural sharing, label-universe recompile, atomic-flip recompile, or
 // the incremental-GFP budget fallback).
 package schemex
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -157,7 +159,7 @@ func TestApplyExtractEquivalence(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(len(c.name)) * 1315423911))
 			g := &Graph{db: c.db}
-			sess, err := Prepare(g)
+			sess, err := PrepareOptions(context.Background(), g, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +167,7 @@ func TestApplyExtractEquivalence(t *testing.T) {
 				t.Fatalf("fresh session version = %d, want 0", sess.Version())
 			}
 			// Seed the Stage 1 memo so the first Apply has warm state.
-			if _, err := ExtractPrepared(sess, Options{K: c.k}); err != nil {
+			if _, err := ExtractPreparedContext(context.Background(), sess, Options{K: c.k}); err != nil {
 				t.Fatal(err)
 			}
 			const steps = 6
@@ -182,7 +184,7 @@ func TestApplyExtractEquivalence(t *testing.T) {
 					nOps = cur.NumLinks()/3 + 4 // big delta: GFP budget fallback
 				}
 				delta := genDelta(r, cur, step, nOps, newLabelP, flipP)
-				child, info, err := sess.Apply(delta)
+				child, info, err := sess.ApplyContext(context.Background(), delta)
 				if err != nil {
 					t.Fatalf("step %d: apply: %v\ndelta:\n%s", step, err, delta)
 				}
@@ -197,7 +199,7 @@ func TestApplyExtractEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: scratch extract: %v", label, err)
 					}
-					warm, err := ExtractPrepared(child, opts)
+					warm, err := ExtractPreparedContext(context.Background(), child, opts)
 					if err != nil {
 						t.Fatalf("%s: session extract: %v", label, err)
 					}
@@ -206,7 +208,7 @@ func TestApplyExtractEquivalence(t *testing.T) {
 				// Extract between applies on even steps only, so odd steps
 				// exercise warm-hint chaining across un-extracted parents.
 				if step%2 == 1 {
-					child, _, err = sess.Apply(delta) // re-branch: parent must still be intact
+					child, _, err = sess.ApplyContext(context.Background(), delta) // re-branch: parent must still be intact
 					if err != nil {
 						t.Fatalf("step %d: re-apply on parent: %v", step, err)
 					}
@@ -223,11 +225,11 @@ func TestApplyExtractEquivalence(t *testing.T) {
 func TestApplyParentUnaffected(t *testing.T) {
 	db, _ := dbg.Generate(dbg.Options{})
 	g := &Graph{db: db}
-	sess, err := Prepare(g)
+	sess, err := PrepareOptions(context.Background(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := ExtractPrepared(sess, Options{K: 6})
+	before, err := ExtractPreparedContext(context.Background(), sess, Options{K: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +239,7 @@ func TestApplyParentUnaffected(t *testing.T) {
 	children := make([]*Prepared, 0, 3)
 	for i := 0; i < 3; i++ { // several siblings branched off one parent
 		delta := genDelta(r, sess.Graph().DB(), i, 5, 0.2, 0.2)
-		child, _, err := sess.Apply(delta)
+		child, _, err := sess.ApplyContext(context.Background(), delta)
 		if err != nil {
 			t.Fatalf("branch %d: %v", i, err)
 		}
@@ -246,7 +248,7 @@ func TestApplyParentUnaffected(t *testing.T) {
 	if got := db.Stats(); got != stats {
 		t.Fatalf("parent graph changed: %v -> %v", stats, got)
 	}
-	after, err := ExtractPrepared(sess, Options{K: 6})
+	after, err := ExtractPreparedContext(context.Background(), sess, Options{K: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +259,7 @@ func TestApplyParentUnaffected(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sibling %d scratch: %v", i, err)
 		}
-		warm, err := ExtractPrepared(child, Options{K: 6})
+		warm, err := ExtractPreparedContext(context.Background(), child, Options{K: 6})
 		if err != nil {
 			t.Fatalf("sibling %d: %v", i, err)
 		}

@@ -119,9 +119,9 @@ func ExampleGraph_FindPath() {
 	// [group]
 }
 
-// ExampleSweepAnalysis explores the defect/size trade-off of §7.2 and picks
-// the elbow.
-func ExampleSweepAnalysis() {
+// ExampleSweepAnalysisContext explores the defect/size trade-off of §7.2 and
+// picks the elbow.
+func ExampleSweepAnalysisContext() {
 	g := schemex.NewGraph()
 	for i := 0; i < 4; i++ {
 		n := fmt.Sprintf("r%d", i)
@@ -130,7 +130,7 @@ func ExampleSweepAnalysis() {
 			g.LinkAtom(n, "extra", "y")
 		}
 	}
-	sw, err := schemex.SweepAnalysis(g, schemex.Options{})
+	sw, err := schemex.SweepAnalysisContext(context.Background(), g, schemex.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -57,7 +58,7 @@ func main() {
 
 	// Sensitivity analysis (§7.2): defect and clustering distance as
 	// functions of the number of types.
-	sw, err := schemex.SweepAnalysis(g, schemex.Options{})
+	sw, err := schemex.SweepAnalysisContext(context.Background(), g, schemex.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -278,11 +278,11 @@ func TestClassifyNewSnapshotUnknownLabel(t *testing.T) {
 		g.LinkAtom(n, "name", "x")
 		g.LinkAtom(n, "salary", "100")
 	}
-	prep, err := Prepare(g)
+	prep, err := PrepareOptions(context.Background(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ExtractPrepared(prep, Options{K: 1})
+	res, err := ExtractPreparedContext(context.Background(), prep, Options{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,24 +318,24 @@ func TestClassifyNewAfterApply(t *testing.T) {
 		g.LinkAtom(n, "name", "x")
 		g.LinkAtom(n, "salary", "100")
 	}
-	parent, err := Prepare(g)
+	parent, err := PrepareOptions(context.Background(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExtractPrepared(parent, Options{K: 1}); err != nil {
+	if _, err := ExtractPreparedContext(context.Background(), parent, Options{K: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// The delta introduces a label absent from the parent's label table.
 	d := NewDelta().Atom("emp5.name", "x").Atom("emp5.badge", "9").
 		Link("emp5", "emp5.name", "name").Link("emp5", "emp5.badge", "badge")
-	child, info, err := parent.Apply(d)
+	child, info, err := parent.ApplyContext(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Incremental {
 		t.Fatal("new label should force a full recompile")
 	}
-	res, err := ExtractPrepared(child, Options{K: 1})
+	res, err := ExtractPreparedContext(context.Background(), child, Options{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func TestBipartiteStage1ProducesBipartiteProgram(t *testing.T) {
 	// and confirm their distance is unchanged (no projection can occur).
 	var a, b = -1, -1
 	for i := 0; i < g.n; i++ {
-		if g.active[i] && len(g.members[i]) == 1 {
+		if g.active[i] && g.members[i] == 1 {
 			if a < 0 {
 				a = i
 			} else if b < 0 {

@@ -37,7 +37,7 @@ func bruteForceBest(g *Greedy) (from, to int, cost float64, ok bool) {
 		}
 		if g.cfg.AllowEmpty && !g.cfg.pinned(i) {
 			d := g.set[i].Count()
-			w1 := len(g.inEmpty)
+			w1 := g.inEmpty
 			if w1 == 0 {
 				w1 = 1
 			}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"math"
 
 	"schemex/internal/bitset"
@@ -75,9 +74,10 @@ type Step struct {
 }
 
 // Greedy is the incremental coalescing engine. Construct with NewGreedy,
-// then call Step until the desired number of types remains; Program
-// materializes the current typing at any point, so a single run yields the
-// whole sensitivity curve of §7.2.
+// then call Step until the desired number of types remains, or until no move
+// is left: Run returns the moves made so far as data, and since no move
+// reads the target number of types, one run to the last move yields the
+// typing at every size (the whole sensitivity curve of §7.2).
 //
 // Internally every type definition is a point on the {0,1}^U hypercube of
 // interned typed links: a link is a (base, target) pair where the base
@@ -105,15 +105,13 @@ type Greedy struct {
 	set     []*bitset.Set // slot -> definition over the universe
 	size    []int         // slot -> |definition| (cached popcount)
 	weight  []int
-	name    []string
-	members [][]int // slot -> original type indices absorbed
+	members []int // slot -> number of original types absorbed
 	active  []bool
-	inEmpty []int // original type indices moved to the empty type
+	inEmpty int // original types moved to the empty type
 
 	err error // sticky cancellation error; set once, refuses further moves
 
-	slotOf []int    // original type index -> current slot, or EmptySlot
-	dist   []uint32 // strict upper triangle of the n×n distance matrix, row-major
+	dist []uint32 // strict upper triangle of the n×n distance matrix, row-major
 	// distShared marks dist as aliased by a captured State (or by the parent
 	// State a fully-clean warm start aliased): the first mutating move clones
 	// it, so captures stay immutable and clean reuse never copies up front.
@@ -173,10 +171,8 @@ func NewGreedy(p *typing.Program, snap *compile.Snapshot, cfg Config, w *Warm) *
 		prog:        p,
 		stride:      n + 1,
 		weight:      make([]int, n),
-		name:        make([]string, n),
-		members:     make([][]int, n),
+		members:     make([]int, n),
 		active:      make([]bool, n),
-		slotOf:      make([]int, n),
 		n:           n,
 		nAct:        n,
 		L:           p.DistinctLinks(),
@@ -195,21 +191,14 @@ func NewGreedy(p *typing.Program, snap *compile.Snapshot, cfg Config, w *Warm) *
 	}
 	g.set = bitset.NewBlock(n, len(g.bases)*g.stride)
 	g.size = make([]int, n)
-	memberBacking := make([]int, n) // one arena; merges grow out of it via append
 	for i, t := range p.Types {
 		for _, l := range t.Links {
 			g.set[i].Set(g.bitOf(l))
 		}
 		g.size[i] = g.set[i].Count()
-		g.weight[i] = t.Weight
-		if g.weight[i] == 0 {
-			g.weight[i] = 1
-		}
-		g.name[i] = t.Name
-		memberBacking[i] = i
-		g.members[i] = memberBacking[i : i+1 : i+1]
+		g.weight[i] = weightOf(t)
+		g.members[i] = 1
 		g.active[i] = true
-		g.slotOf[i] = i
 	}
 	// The initial distance matrix is the hot spot for large programs: the
 	// strict upper triangle is stored flat (half the memory of a square
@@ -500,7 +489,7 @@ func (g *Greedy) offer(k, to int) {
 func (g *Greedy) moveCost(k, to int) float64 {
 	delta := g.cfg.delta()
 	if to == EmptySlot {
-		w1 := len(g.inEmpty)
+		w1 := g.inEmpty
 		if w1 == 0 {
 			w1 = 1
 		}
@@ -517,10 +506,7 @@ func (g *Greedy) merge(i, j int) {
 	g.ensureDistOwned()
 	g.movedWeight = g.weight[j]
 	g.weight[i] += g.weight[j]
-	g.members[i] = append(g.members[i], g.members[j]...)
-	for _, orig := range g.members[j] {
-		g.slotOf[orig] = i
-	}
+	g.members[i] += g.members[j]
 	g.active[j] = false
 	g.nAct--
 	touched, flips := g.project(j, i)
@@ -573,10 +559,7 @@ func (g *Greedy) repairRows(touched []int, i, j int) {
 func (g *Greedy) moveToEmpty(i int) {
 	g.ensureDistOwned()
 	g.movedWeight = g.weight[i]
-	g.inEmpty = append(g.inEmpty, g.members[i]...)
-	for _, orig := range g.members[i] {
-		g.slotOf[orig] = EmptySlot
-	}
+	g.inEmpty += g.members[i]
 	g.active[i] = false
 	g.nAct--
 	touched, flips := g.project(i, EmptySlot)
@@ -670,46 +653,95 @@ func (g *Greedy) recompute(touched []int, flips [][]int) {
 // original type index to its compact cluster index, or EmptySlot for types
 // retired to the empty type.
 func (g *Greedy) Program() (*typing.Program, []int) {
-	compact := make(map[int]int)
+	p, mapping, _ := g.Run().At(g.nAct)
+	return p, mapping
+}
+
+// Run returns the moves made so far over the program the engine was seeded
+// from. Later steps do not change it.
+func (g *Greedy) Run() *Run {
+	return &Run{prog: g.prog, steps: g.trace[:len(g.trace):len(g.trace)]}
+}
+
+// weightOf is a type's coalescing weight, an unset weight counting as one.
+func weightOf(t *typing.Type) int {
+	if t.Weight == 0 {
+		return 1
+	}
+	return t.Weight
+}
+
+// Run is a greedy coalescing run as data: the seeded program and the moves
+// made, in order. No move reads the target number of types, so a run to the
+// last legal move holds the typing at every k, and a merge keeps the
+// survivor's own definition and only retargets links (the §5.1 projection),
+// so At rebuilds any prefix from the seeded program. A Run is immutable.
+type Run struct {
+	prog  *typing.Program
+	steps []Step
+}
+
+// Program returns the program the run was seeded from; do not mutate it.
+func (r *Run) Program() *typing.Program { return r.prog }
+
+// Steps returns the moves of the run, in order; do not mutate them.
+func (r *Run) Steps() []Step { return r.steps }
+
+// At returns the typing after the shortest prefix of steps that leaves at
+// most k types (every step, if the run stopped above k), as Program would
+// have materialized it then, with the prefix's total δ cost. Each surviving
+// slot keeps its own definition, class targets rewritten to the slot that
+// absorbed them or dropped if that slot went to the empty type.
+func (r *Run) At(k int) (*typing.Program, []int, float64) {
+	n := len(r.prog.Types)
+	steps := r.steps[:max(0, min(n-k, len(r.steps)))] // each step retires one type
+	total := 0.0
+	for _, st := range steps {
+		total += st.Cost
+	}
+	// final[s] is the slot holding s's objects after the prefix, or
+	// EmptySlot; walking backwards, every destination is already final.
+	final := make([]int, n)
+	for s := range final {
+		final[s] = s
+	}
+	for i := len(steps) - 1; i >= 0; i-- {
+		if st := steps[i]; st.To == EmptySlot {
+			final[st.From] = EmptySlot
+		} else {
+			final[st.From] = final[st.To]
+		}
+	}
 	p := typing.NewProgram()
-	for slot := 0; slot < g.n; slot++ {
-		if !g.active[slot] {
+	mapping := make([]int, n)
+	for s, t := range r.prog.Types {
+		if final[s] == s {
+			mapping[s] = len(p.Types)
+			p.Types = append(p.Types, &typing.Type{Name: t.Name})
+		}
+	}
+	for s, t := range r.prog.Types {
+		if final[s] == EmptySlot {
+			mapping[s] = EmptySlot
 			continue
 		}
-		compact[slot] = len(p.Types)
-		t := &typing.Type{Name: g.name[slot], Weight: g.weight[slot]}
-		g.set[slot].ForEach(func(id int) {
-			l := g.bases[id/g.stride]
-			if col := id % g.stride; col == 0 {
-				l.Target = typing.AtomicTarget
-			} else {
-				l.Target = col - 1
-			}
-			t.Links = append(t.Links, l)
-		})
-		p.Add(t)
+		mapping[s] = mapping[final[s]]
+		p.Types[mapping[s]].Weight += weightOf(t)
 	}
-	// Remap link targets from slots to compact indices.
-	for _, t := range p.Types {
-		for li, l := range t.Links {
-			if l.Target == typing.AtomicTarget {
-				continue
-			}
-			ci, ok := compact[l.Target]
-			if !ok {
-				panic(fmt.Sprintf("cluster: link targets inactive slot %d", l.Target))
-			}
-			t.Links[li].Target = ci
+	for s, t := range r.prog.Types {
+		if final[s] != s {
+			continue
 		}
-		t.Canonicalize()
-	}
-	mapping := make([]int, len(g.slotOf))
-	for orig, slot := range g.slotOf {
-		if slot == EmptySlot {
-			mapping[orig] = EmptySlot
-		} else {
-			mapping[orig] = compact[slot]
+		out := p.Types[mapping[s]]
+		for _, l := range t.Links {
+			if l.Target != typing.AtomicTarget {
+				if l.Target = mapping[l.Target]; l.Target == EmptySlot {
+					continue
+				}
+			}
+			out.Links = append(out.Links, l)
 		}
+		out.Canonicalize()
 	}
-	return p, mapping
+	return p, mapping, total
 }

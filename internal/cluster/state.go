@@ -38,13 +38,6 @@ type State struct {
 	dist []uint32 // strict upper triangle, row-major; read-only once captured
 }
 
-// NumTypes returns the number of type slots the captured matrix covers.
-func (s *State) NumTypes() int { return s.n }
-
-// Program returns the captured pre-clustering program. Callers must not
-// mutate it.
-func (s *State) Program() *typing.Program { return s.prog }
-
 // at reads the captured triangle; i and j must be distinct and < n.
 func (s *State) at(i, j int) uint32 {
 	if i > j {

@@ -225,8 +225,11 @@ type IncrInfo struct {
 	// the incremental fixpoint evaluator (a warm start the evaluator did not
 	// abandon for a full evaluation).
 	Stage1Warm bool
-	// Stage2Warm: the clustering distance matrix was seeded from the parent
-	// extraction's captured state instead of popcounted from scratch.
+	// Stage2Warm: the clustering ran warm — it adopted the merge run of an
+	// earlier extraction in the lineage whose clustering options (all but K)
+	// and pre-clustering program match, or its distance matrix was seeded
+	// from the parent extraction's captured state instead of popcounted from
+	// scratch.
 	Stage2Warm bool
 	// Stage3Warm: the recast reclassified only the delta's dirty objects,
 	// copying every other assignment row from the parent.
@@ -266,9 +269,10 @@ type IncrStats struct {
 
 // IncrStatsSnapshot is a point-in-time copy of IncrStats.
 type IncrStatsSnapshot struct {
-	// Stage2Warm / Stage2Full count extractions whose clustering matrix was
-	// warm-seeded versus fully popcounted (cold runs, missing or mismatched
-	// state, and warm plans that keep no cell all count as full).
+	// Stage2Warm / Stage2Full count extractions whose clustering adopted a
+	// retained merge run or warm-seeded its matrix versus fully popcounted it
+	// (cold runs, missing or mismatched state, and warm plans that keep no
+	// cell all count as full).
 	Stage2Warm, Stage2Full uint64
 	// Stage3Warm / Stage3Full count recasts that reclassified only dirty
 	// objects versus everything.
@@ -380,12 +384,14 @@ type stage23 struct {
 	// classes are the parent extraction's Stage 1 classes (sorted member
 	// lists), diffed against a child's to propose the slot mapping.
 	classes [][]graph.ObjectID
-	// res is the parent's full result, retained when the full option set is
-	// memoizable (resOK): it feeds the whole-result fast path and the warm
-	// recast. resKey guards both.
-	resOK  bool
+	// res is the parent's full result, retained (non-nil) when the full
+	// option set is memoizable: it feeds the whole-result fast path and the
+	// warm recast. run is the merge run res was read from, seeded from
+	// state's program; every K reads its typing off it. resKey guards all
+	// three, except that run serves any K.
 	resKey stage23Key
 	res    *Result
+	run    *cluster.Run
 	// touched accumulates the delta-touched objects of every Apply since the
 	// state was captured.
 	touched []graph.ObjectID
@@ -704,33 +710,21 @@ func ExtractPrepared(ctx context.Context, p *Prepared, opts Options) (*Result, e
 }
 
 func extract(ctx context.Context, prep *Prepared, opts Options) (*Result, error) {
-	if prep.snap.NumComplex() == 0 {
-		return nil, fmt.Errorf("core: database has no complex objects")
-	}
 	if err := opts.Limits.checkGraph(prep.db); err != nil {
 		return nil, err
 	}
 	check := checkFunc(ctx)
 	tTotal := time.Now()
 
-	matrixKey, matrixOK := stage1KeyOf(opts)
-	// The captured clustering state describes the plain Stage 1 program;
-	// multi-role decomposition and seeding change the pre-clustering program,
-	// so those runs neither consume nor produce it.
-	useS23 := matrixOK && !opts.MultiRole && opts.Seed == nil
+	s23, retain := prep.retained(opts)
 	resKey, resOK := stage23KeyOf(opts)
-	var s23 *stage23
-	if useS23 {
-		prep.mu.Lock()
-		s23 = prep.s23
-		prep.mu.Unlock()
-	}
+	sameOpts := resOK && s23 != nil && s23.res != nil && s23.resKey == resKey
 
 	// Whole-result fast path: an identical extraction already ran in this
 	// lineage and no delta has touched anything since (a repeat on the same
 	// Prepared, or a chain of empty deltas). The retained result is returned
 	// as-is — the snapshots are content-identical — under fresh flags.
-	if resOK && s23 != nil && s23.resOK && s23.resKey == resKey && len(s23.touched) == 0 {
+	if sameOpts && len(s23.touched) == 0 {
 		out := *s23.res
 		out.Incr = IncrInfo{FastPath: true, DirtyTypes: -1, DirtyObjects: -1}
 		out.Timing = Timing{Total: time.Since(tTotal)}
@@ -739,116 +733,42 @@ func extract(ctx context.Context, prep *Prepared, opts Options) (*Result, error)
 	}
 
 	t0 := time.Now()
-	stage1, err := prep.stage1(opts, check)
+	pc, err := prep.preCluster(opts, check)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Stage1: stage1, PerfectTypes: stage1.Program.Len()}
-	res.Incr = IncrInfo{Stage1Warm: stage1.WarmUsed, DirtyTypes: -1, DirtyObjects: -1}
+	res := &Result{Stage1: pc.stage1, Roles: pc.roles, PerfectTypes: pc.stage1.Program.Len()}
+	res.Incr = IncrInfo{Stage1Warm: pc.stage1.WarmUsed, DirtyTypes: -1, DirtyObjects: -1}
 	res.Timing.Stage1 = time.Since(t0)
 
-	baseProg := stage1.Program
-	baseHomes := make(map[graph.ObjectID][]int, len(stage1.Home))
-	for o, h := range stage1.Home {
-		baseHomes[o] = []int{h}
-	}
-	if opts.MultiRole {
-		roles := perfect.ApplyRoles(stage1)
-		res.Roles = roles
-		baseProg = roles.Program
-		baseHomes = roles.Homes
-	}
-
-	baseProg, pinned, err := withSeeds(baseProg, opts.Seed)
+	t0 = time.Now()
+	run, state, err := prep.stage2(pc, opts, check, s23, &res.Incr)
 	if err != nil {
 		return nil, err
 	}
-	if err := opts.Limits.checkTypes(baseProg); err != nil {
-		return nil, err
-	}
-
-	// Warm Stage 2: diff the child classes against the retained state and
-	// seed the distance matrix by copy instead of popcount where provable.
-	var warm *cluster.Warm
-	if useS23 && s23 != nil && s23.state != nil && s23.matrixKey == matrixKey {
-		warm = planWarm(stage1, s23, res)
-	}
-
-	t0 = time.Now()
 	k := opts.K
 	if k <= 0 {
-		sweep, err := sweepFrom(check, prep.snap, baseProg, baseHomes, pinned, opts, warm)
+		sw, err := sweepRun(check, prep.snap, run, pc.homes, opts)
 		if err != nil {
 			return nil, err
 		}
-		k = sweep.Knee()
+		k = sw.Knee()
 		res.AutoK = k
 	}
-	if k > baseProg.Len() {
-		k = baseProg.Len()
-	}
-	if nPinned := countTrue(pinned); k < nPinned {
-		k = nPinned
-	}
-
-	var capture *cluster.State
-	var prog *typing.Program
-	// Whole-Stage-2 reuse: the greedy coalescing is a pure function of the
-	// pre-clustering program (links, weights, names) and the clustering
-	// options — it never reads the database. When the child's Stage 1 program
-	// is positionally identical to the one the retained state was seeded from
-	// and the full option key matches, the parent's merge sequence is the
-	// child's by determinism, so its clustering result is returned verbatim
-	// and the merge loop is skipped entirely. A delta that perturbs any
-	// class — membership, weight, rule, or name — fails the comparison and
-	// falls through to the matrix-copying warm path below. opts.K > 0 is
-	// required because the auto-K sweep consults the database for its knee.
-	if resOK && s23 != nil && s23.resOK && s23.resKey == resKey && s23.state != nil &&
-		opts.K > 0 && programEqual(baseProg, s23.state.Program()) {
-		prog = s23.res.Program
-		res.Program = prog
-		res.Mapping = s23.res.Mapping
-		res.TotalDistance = s23.res.TotalDistance
-		res.AutoK = s23.res.AutoK
-		res.Incr.Stage2Warm = true
-		res.Incr.DirtyTypes = 0
-		// Re-retain the parent's seeded matrix unchanged: it still describes
-		// this exact pre-clustering program.
-		capture = s23.state
-	} else {
-		g := cluster.NewGreedy(baseProg.Clone(), prep.snap, opts.clusterConfig(pinned, check), warm)
-		// Capture the seeded pre-merge matrix before any move mutates it; the
-		// capture aliases the triangle (the engine clones lazily on its first
-		// move), so retaining state costs nothing when no merges follow.
-		if useS23 {
-			capture = g.State()
-		}
-		g.RunTo(k)
-		if err := g.Err(); err != nil {
-			return nil, err
-		}
-		var mapping []int
-		prog, mapping = g.Program()
-		res.Program = prog
-		res.Mapping = mapping
-		res.TotalDistance = g.TotalDistance()
-		if copied, _ := g.SeedStats(); copied > 0 {
-			res.Incr.Stage2Warm = true
-		}
-	}
+	res.Program, res.Mapping, res.TotalDistance = run.At(k)
 	res.Timing.Stage2 = time.Since(t0)
 
-	res.Homes = mapHomes(baseHomes, res.Mapping)
+	res.Homes = mapHomes(pc.homes, res.Mapping)
 
 	// Warm Stage 3: when the full option set matches the retained result and
 	// clustering landed on the same final program, reclassify only the dirty
 	// closure of the accumulated delta and copy every other assignment row.
 	t0 = time.Now()
 	var rcWarm *recast.Warm
-	if resOK && s23 != nil && s23.resOK && s23.resKey == resKey && programsAgree(prog, s23.res.Program) {
+	if sameOpts && programsAgree(res.Program, s23.res.Program) {
 		rcWarm = planRecastWarm(prep.snap, s23, res)
 	}
-	rc, classified, err := recast.Recast(prep.snap, prog, res.Homes, opts.recastOptions(check), rcWarm)
+	rc, classified, err := recast.Recast(prep.snap, res.Program, res.Homes, opts.recastOptions(check), rcWarm)
 	if err != nil {
 		return nil, err
 	}
@@ -864,11 +784,13 @@ func extract(ctx context.Context, prep *Prepared, opts Options) (*Result, error)
 	prep.stats.record(res.Incr)
 
 	// Retain this extraction's state for the next one in the lineage. The
-	// full result rides along only when the whole option set is memoizable.
-	if capture != nil {
-		ns := &stage23{matrixKey: matrixKey, state: capture, classes: stage1.Classes}
+	// full result and the merge run ride along only when the whole option set
+	// is memoizable.
+	if retain {
+		matrixKey, _ := stage1KeyOf(opts)
+		ns := &stage23{matrixKey: matrixKey, state: state, classes: pc.stage1.Classes}
 		if resOK {
-			ns.resOK, ns.resKey, ns.res = true, resKey, res
+			ns.resKey, ns.res, ns.run = resKey, res, run
 		}
 		prep.mu.Lock()
 		prep.s23 = ns
@@ -877,16 +799,113 @@ func extract(ctx context.Context, prep *Prepared, opts Options) (*Result, error)
 	return res, nil
 }
 
+// retained returns the lineage's retained Stage 2/3 state when it was
+// captured under opts' Stage 1 options (nil otherwise), and whether opts may
+// produce such state at all. The state describes the plain Stage 1 program;
+// multi-role decomposition and seeding change the pre-clustering program, so
+// those runs neither consume nor produce it.
+func (p *Prepared) retained(opts Options) (*stage23, bool) {
+	key, ok := stage1KeyOf(opts)
+	if !ok || opts.MultiRole || opts.Seed != nil {
+		return nil, false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.s23 == nil || p.s23.matrixKey != key {
+		return nil, true
+	}
+	return p.s23, true
+}
+
+// preClustering is what Stage 2 starts from: the Stage 1 result, its
+// multi-role decomposition when asked for, the program to cluster (with any
+// pinned seed types appended) and every object's home types in it.
+type preClustering struct {
+	stage1 *perfect.Result
+	roles  *perfect.RolesResult
+	prog   *typing.Program
+	homes  map[graph.ObjectID][]int
+	pinned []bool
+}
+
+// preCluster runs (or replays) Stage 1 and derives the program Stage 2
+// clusters.
+func (p *Prepared) preCluster(opts Options, check func() error) (*preClustering, error) {
+	if p.snap.NumComplex() == 0 {
+		return nil, errors.New("core: database has no complex objects")
+	}
+	stage1, err := p.stage1(opts, check)
+	if err != nil {
+		return nil, err
+	}
+	pc := &preClustering{stage1: stage1, prog: stage1.Program}
+	if opts.MultiRole {
+		pc.roles = perfect.ApplyRoles(stage1)
+		pc.prog, pc.homes = pc.roles.Program, pc.roles.Homes
+	} else {
+		pc.homes = make(map[graph.ObjectID][]int, len(stage1.Home))
+		for o, h := range stage1.Home {
+			pc.homes[o] = []int{h}
+		}
+	}
+	if pc.prog, pc.pinned, err = withSeeds(pc.prog, opts.Seed); err != nil {
+		return nil, err
+	}
+	if err := opts.Limits.checkTypes(pc.prog); err != nil {
+		return nil, err
+	}
+	return pc, nil
+}
+
+// stage2 returns the greedy merge run over pc's program, run to its last
+// legal move: explicit K, auto-K and the sweep all read their typings off
+// prefixes of it (cluster.Run.At). The run is a pure function of the
+// pre-clustering program (links, weights, names) and the clustering options
+// — it never reads the database or K — so the run s23 retains is adopted
+// when every option but K matches and its program is identical. Otherwise
+// one engine runs, its distance matrix warm-seeded from s23 where provable.
+// It also returns the run's seeded pre-merge matrix for retention, and
+// records on incr whether Stage 2 ran warm.
+func (p *Prepared) stage2(pc *preClustering, opts Options, check func() error, s23 *stage23, incr *IncrInfo) (*cluster.Run, *cluster.State, error) {
+	if key, ok := stage23KeyOf(opts); ok && s23 != nil && s23.run != nil {
+		key.k = s23.resKey.k // K only picks a prefix of the run
+		if key == s23.resKey && programEqual(pc.prog, s23.run.Program()) {
+			incr.Stage2Warm, incr.DirtyTypes = true, 0
+			return s23.run, s23.state, nil
+		}
+	}
+	var warm *cluster.Warm
+	if s23 != nil {
+		warm = planWarm(pc.stage1, s23, incr)
+	}
+	g := cluster.NewGreedy(pc.prog.Clone(), p.snap, opts.clusterConfig(pc.pinned, check), warm)
+	// Capture the seeded matrix before any move mutates it; the capture
+	// aliases the triangle (the engine clones it on its first move).
+	state := g.State()
+	for {
+		if _, ok := g.Step(); !ok {
+			break
+		}
+	}
+	if err := g.Err(); err != nil {
+		return nil, nil, err
+	}
+	if copied, _ := g.SeedStats(); copied > 0 {
+		incr.Stage2Warm = true
+	}
+	return g.Run(), state, nil
+}
+
 // planWarm diffs the child's Stage 1 classes against the retained parent
 // state and builds the matrix-seeding plan: classes with identical members
 // whose definitions provably mirror a parent slot keep their matrix cells,
 // and every other cell is popcounted exactly as a cold seeding would, so the
 // plan can only replace popcounts with copies. It records the dirty-type
-// count on res.
-func planWarm(stage1 *perfect.Result, s23 *stage23, res *Result) *cluster.Warm {
+// count on incr.
+func planWarm(stage1 *perfect.Result, s23 *stage23, incr *IncrInfo) *cluster.Warm {
 	proposal := perfect.MatchClasses(stage1.Classes, s23.classes)
 	m, clean := cluster.MatchDefinitions(stage1.Program, s23.state, proposal)
-	res.Incr.DirtyTypes = stage1.Program.Len() - clean
+	incr.DirtyTypes = stage1.Program.Len() - clean
 	return &cluster.Warm{State: s23.state, Map: m}
 }
 
@@ -914,7 +933,7 @@ func programsAgree(a, b *typing.Program) bool {
 // programEqual reports whether two programs are identical in every input the
 // greedy coalescing reads: positionally equal link lists, weights, and names
 // (names do not steer merges but are carried into the output program, so
-// reusing a result requires them equal too).
+// adopting a run requires them equal too).
 func programEqual(a, b *typing.Program) bool {
 	if !programsAgree(a, b) {
 		return false
@@ -1032,16 +1051,6 @@ func withSeeds(base *typing.Program, seed *typing.Program) (*typing.Program, []b
 	return out, pinned, nil
 }
 
-func countTrue(bs []bool) int {
-	n := 0
-	for _, b := range bs {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
 // mapHomes pushes pre-clustering home types through the cluster mapping,
 // dropping types retired to the empty slot and deduplicating.
 func mapHomes(base map[graph.ObjectID][]int, mapping []int) map[graph.ObjectID][]int {
@@ -1123,80 +1132,41 @@ func sweep(ctx context.Context, prep *Prepared, opts Options) (*SweepResult, err
 		return nil, err
 	}
 	check := checkFunc(ctx)
-	stage1, err := prep.stage1(opts, check)
+	pc, err := prep.preCluster(opts, check)
 	if err != nil {
 		return nil, err
 	}
-	baseProg := stage1.Program
-	baseHomes := make(map[graph.ObjectID][]int, len(stage1.Home))
-	for o, h := range stage1.Home {
-		baseHomes[o] = []int{h}
-	}
-	if opts.MultiRole {
-		roles := perfect.ApplyRoles(stage1)
-		baseProg = roles.Program
-		baseHomes = roles.Homes
-	}
-	baseProg, pinned, err := withSeeds(baseProg, opts.Seed)
+	s23, _ := prep.retained(opts)
+	run, _, err := prep.stage2(pc, opts, check, s23, &IncrInfo{})
 	if err != nil {
 		return nil, err
 	}
-	if err := opts.Limits.checkTypes(baseProg); err != nil {
-		return nil, err
-	}
-	return sweepFrom(check, prep.snap, baseProg, baseHomes, pinned, opts, nil)
+	return sweepRun(check, prep.snap, run, pc.homes, opts)
 }
 
-func sweepFrom(check func() error, snap *compile.Snapshot, baseProg *typing.Program, baseHomes map[graph.ObjectID][]int, pinned []bool, opts Options, warm *cluster.Warm) (*SweepResult, error) {
-	g := cluster.NewGreedy(baseProg.Clone(), snap, opts.clusterConfig(pinned, check), warm)
-	if err := g.Err(); err != nil {
-		return nil, err
-	}
-
-	// The greedy merge sequence is inherently serial, but measuring each
-	// intermediate typing (recast + defect) is independent work: capture the
-	// typing at each size during the single run, then measure them on all
-	// CPUs. Results are deterministic (indexed writes).
-	type capturePoint struct {
-		k             int
-		prog          *typing.Program
-		mapping       []int
-		totalDistance float64
-	}
-	var snaps []capturePoint
-	capture := func() {
-		prog, mapping := g.Program()
-		snaps = append(snaps, capturePoint{g.NumActive(), prog, mapping, g.TotalDistance()})
-	}
-	capture()
-	for {
-		if _, ok := g.Step(); !ok {
-			break
-		}
-		capture()
-	}
-	if err := g.Err(); err != nil {
-		return nil, err
-	}
-
-	sw := &SweepResult{Points: make([]SweepPoint, len(snaps))}
-	// One capture per worker; each recast runs serially inside its worker
-	// (Parallelism: 1) so the sweep doesn't oversubscribe the CPUs.
+// sweepRun measures the typing at every prefix of run, from the
+// pre-clustering program down to where the run stopped: each typing is
+// recast and its defect counted. The typings are independent work, measured
+// on all CPUs; results are deterministic (indexed writes).
+func sweepRun(check func() error, snap *compile.Snapshot, run *cluster.Run, homes map[graph.ObjectID][]int, opts Options) (*SweepResult, error) {
+	n := run.Program().Len()
+	sw := &SweepResult{Points: make([]SweepPoint, len(run.Steps())+1)}
+	// Each recast runs serially inside its worker (Parallelism: 1) so the
+	// sweep doesn't oversubscribe the CPUs.
 	rcOpts := opts.recastOptions(check)
 	rcOpts.Parallelism = 1
-	if err := par.DoItemsErr(par.Workers(opts.Parallelism), len(snaps), func(i int) error {
-		s := snaps[i]
-		homes := mapHomes(baseHomes, s.mapping)
-		rc, _, err := recast.Recast(snap, s.prog, homes, rcOpts, nil)
+	if err := par.DoItemsErr(par.Workers(opts.Parallelism), len(sw.Points), func(i int) error {
+		prog, mapping, total := run.At(n - i)
+		rc, _, err := recast.Recast(snap, prog, mapHomes(homes, mapping), rcOpts, nil)
 		if err != nil {
 			return err
 		}
 		sw.Points[i] = SweepPoint{
-			K:             s.k,
+			K:             prog.Len(),
 			Excess:        rc.Defect.Excess,
 			Deficit:       rc.Defect.Deficit,
 			Defect:        rc.Defect.Total(),
-			TotalDistance: s.totalDistance,
+			TotalDistance: total,
 			Unclassified:  rc.Unclassified,
 		}
 		return nil

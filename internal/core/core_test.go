@@ -73,6 +73,9 @@ func TestExtractNoComplexObjects(t *testing.T) {
 	if _, err := Extract(db, Options{K: 1}); err == nil {
 		t.Fatal("extraction over atomic-only data should fail")
 	}
+	if _, err := Sweep(context.Background(), db, Options{}); err == nil {
+		t.Fatal("sweep over atomic-only data should fail")
+	}
 }
 
 func TestExtractKLargerThanPerfect(t *testing.T) {

@@ -44,7 +44,7 @@ func TestWithSeedsAppendsAndPins(t *testing.T) {
 	if s1 != 2 || out.Types[s1].Links[0].Target != 3 {
 		t.Fatalf("seed link mis-offset: %+v", out.Types[s1])
 	}
-	if countTrue(pinned) != 2 || pinned[0] || pinned[1] || !pinned[2] || !pinned[3] {
+	if len(pinned) != 4 || pinned[0] || pinned[1] || !pinned[2] || !pinned[3] {
 		t.Fatalf("pinned = %v", pinned)
 	}
 	// The base program must not be mutated.

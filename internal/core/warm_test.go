@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
+	"schemex/internal/cluster"
+	"schemex/internal/dbg"
 	"schemex/internal/graph"
 )
 
@@ -185,6 +188,31 @@ func TestWarmExtractAfterDelta(t *testing.T) {
 		}
 		assertSameResult(t, child.DB(), warm, cold, fmt.Sprintf("par=%d", par))
 	}
+
+	// A delta that leaves the Stage 1 program unchanged (emp0's dept moves
+	// to a fresh atomic object): an extraction at a K the parent never used
+	// adopts the parent's merge run and reads another prefix of it.
+	d = &graph.Delta{}
+	d.RemoveLink("emp0", "emp0.dept", "dept")
+	d.AddAtomic("emp0.dept2", atomV)
+	d.AddLink("emp0", "emp0.dept2", "dept")
+	child, _, err := prep.Apply(context.Background(), d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Options{K: 3, Parallelism: 1}
+	warm, err := ExtractPrepared(context.Background(), child, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.Incr.Stage2Warm || warm.Incr.DirtyTypes != 0 {
+		t.Fatalf("unchanged program at a new K: Incr = %+v, want the run adopted", warm.Incr)
+	}
+	cold, err := Extract(child.DB().Clone(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, child.DB(), warm, cold, "unchanged program, new K")
 }
 
 // TestWarmExtractClassMigration: a delta that moves a record between
@@ -296,6 +324,34 @@ func TestWarmStateOptionKeying(t *testing.T) {
 	if s := prep2.Stats(); s.FastPath != 0 || s.Stage2Warm != 0 {
 		t.Fatalf("MultiRole lineage counters = %+v, want all-cold", s)
 	}
+
+	// Clustering options key the retained merge run: a run made under one
+	// distance or empty-type policy must not answer another, even over the
+	// same program.
+	prep3, err := Prepare(context.Background(), recordsDB(), 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExtractPrepared(context.Background(), prep3, Options{K: 2, Parallelism: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{
+		{"empty type", Options{K: 2, Parallelism: 1, AllowEmpty: true, EmptyBias: 0.01}},
+		{"delta1", Options{K: 3, Parallelism: 1, Delta: cluster.Delta1}},
+	} {
+		res, err := ExtractPrepared(context.Background(), prep3, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := Extract(recordsDB(), c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResult(t, prep3.DB(), res, cold, c.name)
+	}
 }
 
 // d2 is a second small record delta, distinct from the empA one.
@@ -378,5 +434,72 @@ func TestWarmExtractRandomStream(t *testing.T) {
 	}
 	if total := s.Stage2Warm + s.Stage2Full + s.FastPath; total != 10 {
 		t.Fatalf("counters cover %d extractions, want 10", total)
+	}
+}
+
+// TestPreparedConcurrentUse: goroutines sharing one Prepared extract at
+// different K (auto-K included) and sweep at once, so they adopt, replace
+// and read each other's retained merge run; every answer equals a fresh
+// sequential extraction.
+func TestPreparedConcurrentUse(t *testing.T) {
+	db, _ := dbg.Generate(dbg.Options{Seed: 3})
+	ks := []int{6, 0, 8, 3, 6, 0}
+	want := make(map[int]*Result)
+	for _, k := range ks {
+		if want[k] == nil {
+			res, err := Extract(db, Options{K: k, Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[k] = res
+		}
+	}
+	wantSweep, err := Sweep(context.Background(), db, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Prime the lineage so every goroutine finds a retained run to adopt.
+	prep, err := Prepare(context.Background(), db, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExtractPrepared(context.Background(), prep, Options{K: 4}); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*Result, len(ks))
+	sweeps := make([]*SweepResult, 2)
+	errs := make([]error, len(ks)+len(sweeps))
+	var wg sync.WaitGroup
+	for i, k := range ks {
+		wg.Add(1)
+		go func(i, k int) {
+			defer wg.Done()
+			got[i], errs[i] = ExtractPrepared(context.Background(), prep, Options{K: k, Parallelism: i % 2})
+		}(i, k)
+	}
+	for i := range sweeps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sweeps[i], errs[len(ks)+i] = SweepPrepared(context.Background(), prep, Options{Parallelism: 1})
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, k := range ks {
+		assertSameResult(t, db, got[i], want[k], fmt.Sprintf("goroutine %d (K=%d)", i, k))
+		if got[i].AutoK != want[k].AutoK {
+			t.Fatalf("goroutine %d: AutoK %d, want %d", i, got[i].AutoK, want[k].AutoK)
+		}
+	}
+	for i, sw := range sweeps {
+		if !reflect.DeepEqual(sw.Points, wantSweep.Points) {
+			t.Fatalf("sweep %d differs from the sequential sweep", i)
+		}
 	}
 }

@@ -147,7 +147,7 @@ func TestCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replica, err := schemex.PrepareContext(context.Background(), g)
+	replica, err := schemex.PrepareOptions(context.Background(), g, schemex.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -648,7 +648,7 @@ func TestInMemoryMutateNoExtraAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prep, err := schemex.PrepareContext(context.Background(), g)
+	prep, err := schemex.PrepareOptions(context.Background(), g, schemex.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,6 +216,8 @@ func TestErrors(t *testing.T) {
 			"data": sampleText, "options": map[string]interface{}{"delta": "nope"}}), 422},
 		{"/v1/extract", mustJSON(t, map[string]interface{}{
 			"data": sampleText, "options": map[string]interface{}{"maxDirtyTypesFrac": 1}}), 400},
+		{"/v1/extract", mustJSON(t, map[string]interface{}{"data": "atomic a string x"}), 422},
+		{"/v1/sweep", mustJSON(t, map[string]interface{}{"data": "atomic a string x"}), 422},
 		{"/v1/check", mustJSON(t, map[string]interface{}{"data": sampleText, "schema": "type x = ->a[nowhere]"}), 400},
 		{"/v1/query", mustJSON(t, map[string]interface{}{"data": sampleText, "path": "a..b"}), 400},
 	}

@@ -1,9 +1,9 @@
 // Delta sessions over HTTP: a session pins one prepared extraction context
 // server-side and lets clients evolve it with textual deltas. Each mutation
-// branches the prepared context through schemex.Prepared.Apply, so the
-// snapshot cache's invariant — entries are immutable — carries over: the
-// session variable advances to the new Prepared, but any extraction already
-// running against the old one finishes safely on the old state.
+// branches the prepared context through schemex.Prepared.ApplyBatchContext,
+// so the snapshot cache's invariant — entries are immutable — carries over:
+// the session variable advances to the new Prepared, but any extraction
+// already running against the old one finishes safely on the old state.
 package httpapi
 
 import (

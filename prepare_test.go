@@ -6,6 +6,7 @@
 package schemex
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestPrepareExtractEquivalence(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			g := &Graph{db: c.db}
-			prep, err := Prepare(g)
+			prep, err := PrepareOptions(context.Background(), g, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,14 +68,14 @@ func TestPrepareExtractEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: cold: %v", label, err)
 				}
-				warm, err := ExtractPrepared(prep, opts)
+				warm, err := ExtractPreparedContext(context.Background(), prep, opts)
 				if err != nil {
 					t.Fatalf("%s: warm: %v", label, err)
 				}
 				assertSameExtraction(t, c.db, cold, warm, label)
 				// A second prepared run replays the memoized Stage 1; it
 				// must change nothing.
-				again, err := ExtractPrepared(prep, opts)
+				again, err := ExtractPreparedContext(context.Background(), prep, opts)
 				if err != nil {
 					t.Fatalf("%s: warm repeat: %v", label, err)
 				}
@@ -85,9 +86,38 @@ func TestPrepareExtractEquivalence(t *testing.T) {
 					t.Fatalf("%s: schema differs across parallelism settings", label)
 				}
 			}
+			// A K ladder over the same Prepared: every rung reads its typing
+			// off the merge run the first K left behind, and must match a
+			// fresh extraction at that K. Auto-K rides along on one bipartite
+			// and one graph-shaped case.
+			n := reference.PerfectTypes()
+			ladder := []int{c.k + 2, n + 5, 1, c.k, n}
+			if c.name == "DB1" || c.name == "dbg-seed0" {
+				ladder = append(ladder, 0)
+			}
+			for _, k := range ladder {
+				opts := Options{K: k}
+				label := fmt.Sprintf("ladder K=%d", k)
+				warm, err := ExtractPreparedContext(context.Background(), prep, opts)
+				if err != nil {
+					t.Fatalf("%s: warm: %v", label, err)
+				}
+				if in := warm.Incremental(); !in.Stage2Warm && !in.FastPath {
+					t.Fatalf("%s: Stage 2 did not adopt the retained run: %+v", label, in)
+				}
+				cold, err := Extract(g, opts)
+				if err != nil {
+					t.Fatalf("%s: cold: %v", label, err)
+				}
+				assertSameExtraction(t, c.db, cold, warm, label)
+				if cold.Internal().TotalDistance != warm.Internal().TotalDistance || cold.AutoK() != warm.AutoK() {
+					t.Fatalf("%s: total distance %v vs %v, AutoK %d vs %d", label,
+						cold.Internal().TotalDistance, warm.Internal().TotalDistance, cold.AutoK(), warm.AutoK())
+				}
+			}
 			// Changing a Stage-1-relevant option over the same Prepared must
 			// recompute, not replay, the memo.
-			sorted, err := ExtractPrepared(prep, Options{K: c.k, UseSorts: true})
+			sorted, err := ExtractPreparedContext(context.Background(), prep, Options{K: c.k, UseSorts: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,17 +133,17 @@ func TestPrepareExtractEquivalence(t *testing.T) {
 func TestPrepareSweepEquivalence(t *testing.T) {
 	db, _ := dbg.Generate(dbg.Options{})
 	g := &Graph{db: db}
-	prep, err := Prepare(g)
+	prep, err := PrepareOptions(context.Background(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 0} {
 		opts := Options{Parallelism: par}
-		cold, err := SweepAnalysis(g, opts)
+		cold, err := SweepAnalysisContext(context.Background(), g, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := SweepPrepared(prep, opts)
+		warm, err := SweepPreparedContext(context.Background(), prep, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

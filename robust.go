@@ -110,8 +110,10 @@ func ExtractContext(ctx context.Context, g *Graph, opts Options) (res *Result, e
 	return &Result{res: cr}, nil
 }
 
-// SweepAnalysisContext is SweepAnalysis with cancellation and budgets, under
-// the same contract as ExtractContext.
+// SweepAnalysisContext computes the sensitivity curve of §7.2: it clusters
+// from the perfect typing all the way down to one type, recasting and
+// measuring the defect at each size. Cancellation and budgets follow the
+// same contract as ExtractContext.
 func SweepAnalysisContext(ctx context.Context, g *Graph, opts Options) (sw *Sweep, err error) {
 	defer recoverInternal(&err)
 	co, err := opts.toCore()
@@ -143,30 +145,22 @@ func toSweep(csw *core.SweepResult) *Sweep {
 // Prepared is a compiled, reusable extraction context for one graph: an
 // immutable CSR snapshot of the data (interned labels, dense positions,
 // degree histograms) shared by every extraction stage, plus a memo of the
-// most recent Stage 1 typing. Prepare once and call ExtractPrepared /
-// SweepPrepared many times — with different K, distance, or recast options —
-// to skip the per-call compilation; results are bit-identical to Extract /
-// SweepAnalysis. A Prepared is safe for concurrent use, but the underlying
-// graph must not be mutated while it is in use.
+// most recent Stage 1 typing. Prepare once with PrepareOptions and call
+// ExtractPreparedContext / SweepPreparedContext many times — with different
+// K, distance, or recast options — to skip the per-call compilation; results
+// are bit-identical to ExtractContext / SweepAnalysisContext. A Prepared is
+// safe for concurrent use, but the underlying graph must not be mutated
+// while it is in use.
 type Prepared struct {
 	g    *Graph
 	prep *core.Prepared
 }
 
-// Prepare compiles g into a reusable extraction context.
-func Prepare(g *Graph) (*Prepared, error) {
-	return PrepareContext(context.Background(), g)
-}
-
-// PrepareContext is Prepare with cooperative cancellation.
-func PrepareContext(ctx context.Context, g *Graph) (p *Prepared, err error) {
-	return PrepareOptions(ctx, g, Options{})
-}
-
-// PrepareOptions is PrepareContext honoring the preparation-relevant options:
+// PrepareOptions compiles g into a reusable extraction context, with
+// cooperative cancellation, honoring the preparation-relevant options:
 // Parallelism (compile workers) and MemBudget (resident-shard bytes;
-// snapshots derived through Apply inherit the budget). Both are resource
-// knobs only — extraction results are bit-identical at any setting.
+// snapshots derived through ApplyContext inherit the budget). Both are
+// resource knobs only — extraction results are bit-identical at any setting.
 func PrepareOptions(ctx context.Context, g *Graph, opts Options) (p *Prepared, err error) {
 	defer recoverInternal(&err)
 	cp, err := core.Prepare(ctx, g.db, opts.Parallelism, 0, opts.MemBudget)
@@ -179,16 +173,11 @@ func PrepareOptions(ctx context.Context, g *Graph, opts Options) (p *Prepared, e
 // Graph returns the graph the context was prepared from.
 func (p *Prepared) Graph() *Graph { return p.g }
 
-// ExtractPrepared is Extract over a prepared context: the snapshot
-// compilation is skipped, and when the Stage-1-relevant options repeat
-// (sorts, value labels, engine choice) the minimal perfect typing is reused
-// as well. The result is bit-identical to Extract on the same graph.
-func ExtractPrepared(p *Prepared, opts Options) (*Result, error) {
-	return ExtractPreparedContext(context.Background(), p, opts)
-}
-
-// ExtractPreparedContext is ExtractPrepared with cancellation and budgets,
-// under the same contract as ExtractContext.
+// ExtractPreparedContext is ExtractContext over a prepared context: the
+// snapshot compilation is skipped, and when the Stage-1-relevant options
+// repeat (sorts, value labels) the minimal perfect typing is reused as well.
+// The result is bit-identical to Extract on the same graph; cancellation and
+// budgets follow the same contract as ExtractContext.
 func ExtractPreparedContext(ctx context.Context, p *Prepared, opts Options) (res *Result, err error) {
 	defer recoverInternal(&err)
 	co, err := opts.toCore()
@@ -202,13 +191,8 @@ func ExtractPreparedContext(ctx context.Context, p *Prepared, opts Options) (res
 	return &Result{res: cr}, nil
 }
 
-// SweepPrepared is SweepAnalysis over a prepared context, with the same
-// reuse guarantees as ExtractPrepared.
-func SweepPrepared(p *Prepared, opts Options) (*Sweep, error) {
-	return SweepPreparedContext(context.Background(), p, opts)
-}
-
-// SweepPreparedContext is SweepPrepared with cancellation and budgets.
+// SweepPreparedContext is SweepAnalysisContext over a prepared context, with
+// the same reuse guarantees as ExtractPreparedContext.
 func SweepPreparedContext(ctx context.Context, p *Prepared, opts Options) (sw *Sweep, err error) {
 	defer recoverInternal(&err)
 	co, err := opts.toCore()

@@ -368,9 +368,10 @@ func (r *Result) ClassifyNew(object string, maxDistance int) []string {
 // combination yields bit-identical results.
 type IncrementalInfo struct {
 	// Stage1Warm / Stage2Warm / Stage3Warm report that the perfect typing
-	// was maintained incrementally, the clustering matrix was seeded from
-	// the previous extraction, and the recast reclassified only the delta's
-	// dirty objects, respectively.
+	// was maintained incrementally, the clustering adopted the merge run of
+	// an earlier extraction with the same program and options but K (or
+	// seeded its matrix from the previous extraction), and the recast
+	// reclassified only the delta's dirty objects, respectively.
 	Stage1Warm bool
 	Stage2Warm bool
 	Stage3Warm bool
@@ -527,13 +528,6 @@ type SweepPoint struct {
 type Sweep struct {
 	Points    []SweepPoint
 	Suggested int // elbow of the defect curve
-}
-
-// SweepAnalysis computes the sensitivity curve of §7.2: it clusters from the
-// perfect typing all the way down to one type, recasting and measuring the
-// defect at each size.
-func SweepAnalysis(g *Graph, opts Options) (*Sweep, error) {
-	return SweepAnalysisContext(context.Background(), g, opts)
 }
 
 // FindPath returns the names of the complex objects that have an outgoing

@@ -2,6 +2,7 @@ package schemex
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -122,7 +123,7 @@ func TestSweepAnalysisPublicAPI(t *testing.T) {
 			g.LinkAtom(n, "extra", "y")
 		}
 	}
-	sw, err := SweepAnalysis(g, Options{})
+	sw, err := SweepAnalysisContext(context.Background(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@
 // touch with its parent — the compiled snapshot's CSR rows and histograms,
 // the graph's edge slices, and (through a warm-started Stage 1 fixpoint)
 // most of the minimal perfect typing work. Parent sessions stay fully
-// usable: Apply never mutates, it branches.
+// usable: applying never mutates, it branches.
 package schemex
 
 import (
@@ -19,8 +19,8 @@ import (
 // Delta is an ordered batch of graph edits, addressed by object name so new
 // objects can be introduced alongside references to existing ones. Build one
 // with the fluent methods or parse the line format with ParseDelta, then
-// hand it to Prepared.Apply. A Delta is independent of any particular graph
-// until applied and may be applied to several.
+// hand it to Prepared.ApplyContext. A Delta is independent of any particular
+// graph until applied and may be applied to several.
 type Delta struct {
 	d graph.Delta
 }
@@ -108,17 +108,13 @@ type ApplyInfo struct {
 	NewObjects     int
 }
 
-// Apply produces the session for p's graph with d applied. p itself, its
-// graph, and every result extracted from it remain valid and unchanged; the
-// child shares all untouched structure with p and warm-starts its Stage 1
-// typing from p's, so extracting after a small delta costs work proportional
-// to the delta's neighborhood. Extractions from the child are bit-identical
-// to loading the mutated graph from scratch.
-func (p *Prepared) Apply(d *Delta) (*Prepared, *ApplyInfo, error) {
-	return p.ApplyContext(context.Background(), d)
-}
-
-// ApplyContext is Apply with cooperative cancellation.
+// ApplyContext produces the session for p's graph with d applied, with
+// cooperative cancellation. p itself, its graph, and every result extracted
+// from it remain valid and unchanged; the child shares all untouched
+// structure with p and warm-starts its Stage 1 typing from p's, so
+// extracting after a small delta costs work proportional to the delta's
+// neighborhood. Extractions from the child are bit-identical to loading the
+// mutated graph from scratch.
 func (p *Prepared) ApplyContext(ctx context.Context, d *Delta) (np *Prepared, info *ApplyInfo, err error) {
 	defer recoverInternal(&err)
 	cp, ci, err := p.prep.Apply(ctx, &d.d, 0)
@@ -132,19 +128,15 @@ func (p *Prepared) ApplyContext(ctx context.Context, d *Delta) (np *Prepared, in
 	}, nil
 }
 
-// ApplyBatch applies a burst of deltas as one pipeline pass: the batch is
-// merged (and, where provably equivalent, coalesced — cancelling link/unlink
-// pairs and Remove-subsumed edits dropped) into a single delta, compiled
-// with one incremental Apply, and the child's Version advances by len(ds) so
-// the result is indistinguishable from sequential Apply calls — bit-identical
-// state at a fraction of the cost. If any delta in the batch would fail, the
-// whole batch fails and p is unchanged; callers that need to know which
-// delta failed fall back to applying them one at a time.
-func (p *Prepared) ApplyBatch(ds ...*Delta) (*Prepared, *ApplyInfo, error) {
-	return p.ApplyBatchContext(context.Background(), ds...)
-}
-
-// ApplyBatchContext is ApplyBatch with cooperative cancellation.
+// ApplyBatchContext applies a burst of deltas as one pipeline pass, with
+// cooperative cancellation: the batch is merged (and, where provably
+// equivalent, coalesced — cancelling link/unlink pairs and Remove-subsumed
+// edits dropped) into a single delta, compiled with one incremental apply,
+// and the child's Version advances by len(ds) so the result is
+// indistinguishable from sequential ApplyContext calls — bit-identical state
+// at a fraction of the cost. If any delta in the batch would fail, the whole
+// batch fails and p is unchanged; callers that need to know which delta
+// failed fall back to applying them one at a time.
 func (p *Prepared) ApplyBatchContext(ctx context.Context, ds ...*Delta) (np *Prepared, info *ApplyInfo, err error) {
 	defer recoverInternal(&err)
 	gds := make([]*graph.Delta, 0, len(ds))
@@ -164,14 +156,14 @@ func (p *Prepared) ApplyBatchContext(ctx context.Context, ds ...*Delta) (np *Pre
 	}, nil
 }
 
-// Version counts the deltas applied since the session's root Prepare: 0 for
-// a freshly prepared context, parent+1 after each Apply.
+// Version counts the deltas applied since the session's root PrepareOptions:
+// 0 for a freshly prepared context, parent+1 for each applied delta.
 func (p *Prepared) Version() uint64 { return p.prep.Version() }
 
 // NumShards reports how many fixed-range object shards the session's
 // compiled snapshot is partitioned into (about 8192 objects per shard, so
-// small graphs stay single-shard). Sessions derived through Apply inherit
-// the layout.
+// small graphs stay single-shard). Sessions derived through ApplyContext
+// inherit the layout.
 func (p *Prepared) NumShards() int { return p.prep.NumShards() }
 
 // SetBaseVersion rebases the session version counter, the hook durable
@@ -188,16 +180,16 @@ type IncrStats struct {
 	Stage2Warm, Stage2Full uint64
 	Stage3Warm, Stage3Full uint64
 	FastPath               uint64
-	// Batches / BatchedDeltas count ApplyBatch passes and the deltas they
-	// covered; CoalescedOps counts edits dropped by coalescing before
+	// Batches / BatchedDeltas count ApplyBatchContext passes and the deltas
+	// they covered; CoalescedOps counts edits dropped by coalescing before
 	// compilation.
 	Batches, BatchedDeltas uint64
 	CoalescedOps           uint64
 }
 
 // IncrStats reports the incremental-extraction counters accumulated across
-// this session's whole lineage (the root Prepare and every session derived
-// from it through Apply share one set).
+// this session's whole lineage (the root PrepareOptions and every session
+// derived from it through ApplyContext share one set).
 func (p *Prepared) IncrStats() IncrStats {
 	s := p.prep.Stats()
 	return IncrStats{
