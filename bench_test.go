@@ -29,7 +29,7 @@ import (
 // cost of a one-off conformance check.
 func evalGFP(tb testing.TB, p *typing.Program, db *graph.DB) *typing.Extent {
 	tb.Helper()
-	snap, err := compile.Compile(db, 0, 1, 0, nil)
+	snap, err := compile.Compile(db, 0, 1, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func evalGFP(tb testing.TB, p *typing.Program, db *graph.DB) *typing.Extent {
 // snapOf compiles db with the automatic layout on every CPU.
 func snapOf(tb testing.TB, db *graph.DB) *compile.Snapshot {
 	tb.Helper()
-	snap, err := compile.Compile(db, 0, 0, 0, nil)
+	snap, err := compile.Compile(db, 0, 0, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func BenchmarkPrepareOnceExtractMany(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("DB%d/warm", p.DBNo), func(b *testing.B) {
 			b.ReportAllocs()
-			prep, err := core.Prepare(context.Background(), db, 0, 0, 0)
+			prep, err := core.Prepare(context.Background(), db, 0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -573,7 +573,7 @@ func BenchmarkStage3Parallelism(b *testing.B) {
 			rc := recast.DefaultOptions()
 			rc.Parallelism = workers
 			for i := 0; i < b.N; i++ {
-				snap, err := compile.Compile(db, 0, workers, 0, nil)
+				snap, err := compile.Compile(db, 0, workers, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -56,8 +56,6 @@ func main() {
 		"also spill a session snapshot once its log exceeds this many bytes (0: delta count only)")
 	recoverConc := flag.Int("recover-concurrency", httpapi.DefaultRecoverConcurrency,
 		"sessions recovered concurrently at startup (must be positive)")
-	memBudget := flag.Int64("mem-budget", 0,
-		"approximate bytes of CSR shards kept resident per snapshot lineage; spilled shards fault back on demand (0: everything stays resident)")
 	queueDepth := flag.Int("queue-depth", httpapi.DefaultQueueDepth,
 		"queued-but-unapplied mutations per session before shedding 429 (must be positive)")
 	batchMax := flag.Int("batch-max", httpapi.DefaultBatchMax,
@@ -87,10 +85,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "schemex-server: -recover-concurrency must be positive, got %d\n", *recoverConc)
 		os.Exit(2)
 	}
-	if *memBudget < 0 {
-		fmt.Fprintf(os.Stderr, "schemex-server: -mem-budget must be non-negative, got %d\n", *memBudget)
-		os.Exit(2)
-	}
 	if *queueDepth <= 0 {
 		fmt.Fprintf(os.Stderr, "schemex-server: -queue-depth must be positive, got %d\n", *queueDepth)
 		os.Exit(2)
@@ -118,7 +112,6 @@ func main() {
 		SpillEvery:         *spillEvery,
 		SpillBytes:         *spillBytes,
 		RecoverConcurrency: *recoverConc,
-		MemBudget:          *memBudget,
 		QueueDepth:         *queueDepth,
 		BatchMax:           *batchMax,
 		BatchWindow:        *batchWindow,

@@ -277,12 +277,8 @@ func cmdApply(ctx context.Context, args []string, env *Env) error {
 	verbose := fs.Bool("v", false, "report each delta's apply path on stderr")
 	timeout := fs.Duration("timeout", 0, "abort after this long (0 = no limit)")
 	logPath := fs.String("log", "", "write-ahead log: replay its deltas first, then append each -d delta (created if missing)")
-	memBudget := fs.Int64("mem-budget", 0, "approximate bytes of CSR shards kept resident; spilled shards fault back on demand (0 = everything stays resident)")
 	if err := fs.Parse(args); err != nil {
 		return usageErr(err)
-	}
-	if *memBudget < 0 {
-		return usageErr(fmt.Errorf("-mem-budget must be non-negative, got %d", *memBudget))
 	}
 	if len(deltas) == 0 && *logPath == "" {
 		return usageErr(fmt.Errorf("apply needs at least one -d delta file (or -log)"))
@@ -297,13 +293,13 @@ func cmdApply(ctx context.Context, args []string, env *Env) error {
 	}
 	ctx, cancel := withTimeout(ctx, *timeout)
 	defer cancel()
-	sess, err := schemex.PrepareOptions(ctx, g, schemex.Options{Parallelism: *parallel, MemBudget: *memBudget})
+	sess, err := schemex.PrepareOptions(ctx, g, schemex.Options{Parallelism: *parallel})
 	if err != nil {
 		return reportPartial(env, g, err)
 	}
 	var wlog *wal.Log
 	if *logPath != "" {
-		if sess, wlog, err = openApplyLog(ctx, *logPath, sess, *verbose, *memBudget, env); err != nil {
+		if sess, wlog, err = openApplyLog(ctx, *logPath, sess, *verbose, *parallel, env); err != nil {
 			return err
 		}
 		defer wlog.Close()
@@ -370,11 +366,6 @@ func cmdApply(ctx context.Context, args []string, env *Env) error {
 		}
 		sess = next
 	}
-	if *verbose && *memBudget > 0 {
-		rs := schemex.ReadResidencyStats()
-		fmt.Fprintf(env.Stderr, "# shard residency: %d faults, %d evictions, %d pins (budget %d bytes)\n",
-			rs.ShardFaults, rs.ShardEvictions, rs.ShardPins, *memBudget)
-	}
 	if !*extract {
 		return sess.Graph().Write(env.Stdout)
 	}
@@ -393,8 +384,9 @@ func cmdApply(ctx context.Context, args []string, env *Env) error {
 // delta records apply in order), then reopened for appending — a torn final
 // frame from an interrupted earlier run is dropped with a warning. A missing
 // log is created, seeded with the session's graph as its base record so the
-// log replays standalone next time.
-func openApplyLog(ctx context.Context, path string, sess *schemex.Prepared, verbose bool, memBudget int64, env *Env) (*schemex.Prepared, *wal.Log, error) {
+// log replays standalone next time. parallel is -p: a base record is compiled
+// with it, like the data file.
+func openApplyLog(ctx context.Context, path string, sess *schemex.Prepared, verbose bool, parallel int, env *Env) (*schemex.Prepared, *wal.Log, error) {
 	if _, err := os.Stat(path); os.IsNotExist(err) {
 		l, err := wal.Create(path, wal.SyncPolicy{})
 		if err != nil {
@@ -422,7 +414,7 @@ func openApplyLog(ctx context.Context, path string, sess *schemex.Prepared, verb
 			if err != nil {
 				return fmt.Errorf("base record at offset %d: %w", r.Offset, err)
 			}
-			p, err := schemex.PrepareOptions(ctx, g, schemex.Options{MemBudget: memBudget})
+			p, err := schemex.PrepareOptions(ctx, g, schemex.Options{Parallelism: parallel})
 			if err != nil {
 				return err
 			}
@@ -486,7 +478,7 @@ func cmdPerfect(args []string, env *Env) error {
 	if err != nil {
 		return err
 	}
-	snap, err := compile.Compile(g.DB(), 0, 0, 0, nil)
+	snap, err := compile.Compile(g.DB(), 0, 0, nil)
 	if err != nil {
 		return err
 	}

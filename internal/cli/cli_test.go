@@ -3,7 +3,6 @@ package cli
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -487,37 +486,5 @@ func TestApplyErrors(t *testing.T) {
 	garbled := writeTemp(t, "garbled.txt", "frobnicate x\n")
 	if code, _, _ := run(t, "", "apply", "-d", garbled, data); code != 1 {
 		t.Fatalf("garbled delta: code=%d, want 1", code)
-	}
-}
-
-// TestApplyMemBudget: apply under a paging budget produces output identical
-// to the fully resident run, -v reports the shard residency stats, and a
-// negative budget is a usage error.
-func TestApplyMemBudget(t *testing.T) {
-	var chain strings.Builder
-	for i := 0; i < 255; i++ {
-		fmt.Fprintf(&chain, "link n%d n%d next\n", i, i+1)
-	}
-	data := writeTemp(t, "chain.txt", chain.String())
-	d := writeTemp(t, "d.txt", "link n255 n256 next\n")
-
-	code, want, stderr := run(t, "", "apply", "-d", d, "-extract", "-k", "2", data)
-	if code != 0 {
-		t.Fatalf("resident run: code=%d stderr=%q", code, stderr)
-	}
-	code, got, stderr := run(t, "", "apply", "-d", d, "-extract", "-k", "2", "-mem-budget", "4096", "-v", data)
-	if code != 0 {
-		t.Fatalf("budgeted run: code=%d stderr=%q", code, stderr)
-	}
-	if got != want {
-		t.Errorf("budgeted output differs from resident output:\n%s\nvs\n%s", got, want)
-	}
-	if !strings.Contains(stderr, "# shard residency:") || !strings.Contains(stderr, "faults") {
-		t.Errorf("verbose budget run missing residency stats:\n%s", stderr)
-	}
-
-	code, _, stderr = run(t, "", "apply", "-d", d, "-mem-budget", "-5", data)
-	if code != 2 || !strings.Contains(stderr, "mem-budget") {
-		t.Errorf("negative budget: code=%d stderr=%q", code, stderr)
 	}
 }

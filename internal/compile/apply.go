@@ -81,13 +81,6 @@ func Apply(snap *Snapshot, delta *graph.Delta, workers int, check func() error) 
 		if err != nil {
 			return nil, nil, err
 		}
-		// The fallback child stays in the parent's residency lineage: its
-		// shards enter the same byte-budgeted LRU.
-		if snap.res != nil {
-			if err := ns.attach(snap.res); err != nil {
-				return nil, nil, err
-			}
-		}
 		return ns, info, nil
 	}
 	ns, err := applyIncremental(snap, child, eff, workers, check)
@@ -120,8 +113,7 @@ func labelUniverseChanged(snap *Snapshot, eff *graph.DeltaEffect) bool {
 	for _, id := range shrinkCand {
 		counts[id] = 0
 	}
-	for si := range snap.shards {
-		sh := snap.shard(si)
+	for _, sh := range snap.shards {
 		for _, lab := range sh.OutLab {
 			if _, ok := counts[int(lab)]; ok {
 				counts[int(lab)]++
@@ -157,7 +149,6 @@ func applyIncremental(parent *Snapshot, child *graph.DB, eff *graph.DeltaEffect,
 		Labels:     parent.Labels, // universe unchanged: alias table and intern map
 		labelID:    parent.labelID,
 		shardShift: shift,
-		res:        parent.res, // same residency lineage (nil when unbudgeted)
 	}
 	if n == oldN {
 		// No objects created, and none flipped on this path: the atomic
@@ -218,11 +209,11 @@ func applyIncremental(parent *Snapshot, child *graph.DB, eff *graph.DeltaEffect,
 	for si := 0; si < nSh; si++ {
 		lo := next
 		if si < len(parent.shards) {
-			lo = parent.shardMeta(si).posBase
+			lo = parent.shards[si].PosBase
 		}
 		pn := 0
 		if si < boundSi {
-			pn = parent.shardMeta(si).posN
+			pn = parent.shards[si].PosN
 		} else {
 			base := si << shift
 			end := base + 1<<shift
@@ -240,24 +231,13 @@ func applyIncremental(parent *Snapshot, child *graph.DB, eff *graph.DeltaEffect,
 	}
 
 	// Build the shard table: untouched shards alias the parent, dirty ones
-	// rebuild independently in parallel. Under a residency manager a clean
-	// shard shares the parent's spillable ref instead — the parent's copy is
-	// never forced into RAM just to derive a child, and one resident copy
-	// (or one file) serves the whole lineage. Ref sharing needs no reslice:
-	// a clean shard's view values are equal between parent and child, and a
-	// faulted shard carries owned, value-equal views anyway.
+	// rebuild independently in parallel.
 	s.shards = make([]*Shard, nSh)
-	if parent.res != nil {
-		s.refs = make([]*shardRef, nSh)
-	}
 	if err := par.DoItemsErr(workers, nSh, func(si int) error {
 		if !dirty[si] {
-			switch {
-			case parent.res != nil:
-				s.refs[si] = parent.refs[si]
-			case n == oldN:
+			if n == oldN {
 				s.shards[si] = parent.shards[si]
-			default:
+			} else {
 				s.shards[si] = parent.shards[si].reslice(s)
 			}
 			return nil
@@ -266,8 +246,8 @@ func applyIncremental(parent *Snapshot, child *graph.DB, eff *graph.DeltaEffect,
 	}); err != nil {
 		return nil, err
 	}
-	for si := range s.shards {
-		s.nLinks += s.shardMeta(si).nOut
+	for _, sh := range s.shards {
+		s.nLinks += len(sh.OutTo)
 	}
 
 	// Histograms: alias every chunk whose rows are untouched; chunks holding
@@ -325,15 +305,6 @@ func applyIncremental(parent *Snapshot, child *graph.DB, eff *graph.DeltaEffect,
 			}
 		}
 	}
-	// Hand the rebuilt dirty shards to the lineage's residency manager, which
-	// spills them through the codec when it has a budget; clean shards
-	// already share the parent's refs, so from here the child pages exactly
-	// like its parent.
-	if s.res != nil {
-		if err := s.attach(s.res); err != nil {
-			return nil, err
-		}
-	}
 	return s, nil
 }
 
@@ -346,18 +317,10 @@ func applyIncremental(parent *Snapshot, child *graph.DB, eff *graph.DeltaEffect,
 func (s *Snapshot) rebuildShard(si int, parent *Snapshot, eff *graph.DeltaEffect, posLo, posN int, check func() error) error {
 	child := s.db
 	sh := newShard(s, si, posLo, posLo+posN)
-	// The parent shard feeds the untouched-run block copies below; pin it
-	// for the whole rebuild so a concurrent rebuild's eviction pressure
-	// cannot fault it back in once per run.
+	// The parent shard feeds the untouched-run block copies below.
 	var ps *Shard
 	if si < len(parent.shards) {
-		if parent.res != nil && parent.refs[si] != nil {
-			var unpin func()
-			ps, unpin = parent.refs[si].pin()
-			defer unpin()
-		} else {
-			ps = parent.shards[si]
-		}
+		ps = parent.shards[si]
 	}
 
 	// The shard's touched flags: binary-search the (ascending) touched list

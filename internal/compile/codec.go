@@ -1,11 +1,11 @@
 // Shard and snapshot-core codecs: versioned, checksummed binary
-// serialization of one Shard (the unit the residency manager spills and
-// faults) and of a snapshot's shard-independent core (label universe, global
-// position/sort tables, degree histograms, shard geometry). A shard file is
+// serialization of one Shard (the unit a durable session spills) and of a
+// snapshot's shard-independent core (label universe, global position/sort
+// tables, degree histograms, shard geometry). A shard file is
 // self-contained — it carries the shard's slice of the global tables as
 // owned arrays, so decoding never needs the snapshot it came from — which is
-// what lets a spilled shard be faulted into any snapshot sharing the same
-// ref, parent or delta-derived child alike.
+// what lets LoadSnapshot check every shard against the core before trusting
+// it.
 //
 // Both formats are little-endian with an 8-byte version magic followed by a
 // CRC-32C (Castagnoli) of the payload, like the write-ahead log's frames: a
@@ -18,7 +18,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"os"
+	"slices"
+	"sync/atomic"
 
+	"schemex/internal/bitset"
 	"schemex/internal/graph"
 )
 
@@ -183,9 +187,8 @@ func EncodeShard(sh *Shard) []byte {
 
 // DecodeShard reconstructs a shard from EncodeShard's output. Every array is
 // freshly allocated and owned by the result: the decoded shard's table views
-// are value-equal copies of the snapshot slices the encoder saw, valid for
-// any snapshot whose global tables agree over the shard's range (which every
-// snapshot sharing the shard's residency ref does, by construction).
+// are value-equal copies of the snapshot slices the encoder saw. LoadSnapshot
+// checks them against the core's tables and rebinds them there.
 func DecodeShard(data []byte) (*Shard, error) {
 	payload, err := unseal("shard", shardMagic, data)
 	if err != nil {
@@ -239,11 +242,10 @@ func int32ToComplex(v []int32) []graph.ObjectID {
 // EncodeCore serializes everything of the snapshot except the shard CSR
 // blocks: the label universe, the global position/sort tables, the degree
 // histograms, the shard geometry, and per-shard metadata (position range and
-// edge counts) sufficient to attach non-resident shard refs without reading
-// a single shard file. The atomic bitset and the Complex table are not
-// written — both are pure functions of Pos (Pos[o] == -1 exactly for atomic
-// objects, and Complex lists the rest in ID order), so LoadSnapshot rebuilds
-// them bit-identically.
+// edge counts) that LoadSnapshot checks every shard file against. The
+// atomic bitset and the Complex table are not written — both are pure
+// functions of Pos (Pos[o] == -1 exactly for atomic objects, and Complex
+// lists the rest in ID order), so LoadSnapshot rebuilds them bit-identically.
 func (s *Snapshot) EncodeCore() []byte {
 	e := enc{}
 	e.u32(uint32(s.shardShift))
@@ -256,14 +258,12 @@ func (s *Snapshot) EncodeCore() []byte {
 	}
 	e.i32s(s.Pos)
 	e.bytes(s.Sorts)
-	nSh := s.NumShards()
-	e.u32(uint32(nSh))
-	for si := 0; si < nSh; si++ {
-		m := s.shardMeta(si)
-		e.u32(uint32(m.posBase))
-		e.u32(uint32(m.posN))
-		e.u32(uint32(m.nOut))
-		e.u32(uint32(m.nIn))
+	e.u32(uint32(len(s.shards)))
+	for _, sh := range s.shards {
+		e.u32(uint32(sh.PosBase))
+		e.u32(uint32(sh.PosN))
+		e.u32(uint32(len(sh.OutTo)))
+		e.u32(uint32(len(sh.InFrom)))
 	}
 	encodeHist(&e, s.OutComplex)
 	encodeHist(&e, s.OutAtomic)
@@ -302,20 +302,36 @@ func decodeHist(d *dec, maxRows int) Hist {
 	return h
 }
 
+// shardLoads counts the shard files LoadSnapshot has read and accepted,
+// process-wide.
+var shardLoads atomic.Uint64
+
+// ShardsLoaded reports how many shard files LoadSnapshot has read and
+// accepted in this process: the shards recovered durable sessions brought
+// back from disk.
+func ShardsLoaded() uint64 { return shardLoads.Load() }
+
+// shardMeta is the core's record of one shard: its complex-position range
+// and edge counts.
+type shardMeta struct {
+	posBase, posN int
+	nOut, nIn     int
+}
+
 // LoadSnapshot reconstructs a snapshot of db from an EncodeCore blob and one
-// shard file per shard, written by EncodeShard (ShardBytes). No shard file
-// is read here: every shard is attached to the returned snapshot's residency
-// manager as a non-resident ref, and is faulted in — checksum-verified — the
-// first time an accessor touches its object range. memBudget bounds the
-// resident-shard bytes exactly as in Compile (<= 0 means unlimited
-// residency, still lazily loaded).
+// shard file per shard, written by EncodeShard (ShardBytes), in shard order.
+// Every shard file is read, decoded and checked against the core before the
+// snapshot is returned (see checkShard), and its table views are rebound onto
+// the core's tables, so the result is laid out exactly as Compile lays it
+// out. A malformed core or shard, or one that disagrees with the other, is a
+// *CodecError; a file that cannot be read is returned as the read error.
 //
 // The db must be the same instance the encoded snapshot was compiled from
 // (or a value-identical reconstruction, e.g. the graph text the serving
 // layer spills beside the shard files); object and label counts are
 // cross-checked, deeper disagreement is undetectable here and yields
 // garbage extractions, exactly like mutating a db under a live snapshot.
-func LoadSnapshot(db *graph.DB, core []byte, shardFiles []string, memBudget int64) (*Snapshot, error) {
+func LoadSnapshot(db *graph.DB, core []byte, shardFiles []string) (*Snapshot, error) {
 	payload, err := unseal("core", coreMagic, core)
 	if err != nil {
 		return nil, err
@@ -343,7 +359,7 @@ func LoadSnapshot(db *graph.DB, core []byte, shardFiles []string, memBudget int6
 	s.Pos = d.i32s(n)
 	s.Sorts = d.bytes(n)
 	nSh := d.count(16) // each shard carries 16 bytes of meta below
-	if d.err || nSh != numShards(n, s.shardShift) {
+	if d.err || s.shardShift < minShardShift || s.shardShift > maxShardShift || nSh != numShards(n, s.shardShift) {
 		return nil, &CodecError{"core", "shard count inconsistent with object count"}
 	}
 	if len(shardFiles) != nSh {
@@ -367,11 +383,14 @@ func LoadSnapshot(db *graph.DB, core []byte, shardFiles []string, memBudget int6
 	// Rebuild the derived tables and intern map from Pos.
 	s.Atomic = bitsetFromPos(s.Pos)
 	for i, p := range s.Pos {
-		if p >= 0 {
+		switch {
+		case p >= 0:
 			if int(p) != len(s.Complex) {
 				return nil, &CodecError{"core", "position table is not dense in ID order"}
 			}
 			s.Complex = append(s.Complex, graph.ObjectID(i))
+		case p != -1 || s.Sorts[i] >= NumSorts:
+			return nil, &CodecError{"core", fmt.Sprintf("atomic object %d has position %d and sort %d", i, p, s.Sorts[i])}
 		}
 	}
 	s.labelID = make(map[string]int, len(s.Labels))
@@ -381,21 +400,108 @@ func LoadSnapshot(db *graph.DB, core []byte, shardFiles []string, memBudget int6
 	if len(s.Complex) != s.OutComplex.nRows {
 		return nil, &CodecError{"core", "histogram row count inconsistent with complex objects"}
 	}
+	// The shard records must chain the position ranges Pos implies, and
+	// their edge counts must sum to the link count.
+	posNext, nOut, nIn := 0, 0, 0
+	for si, m := range metas {
+		base := si << s.shardShift
+		posN := 0
+		for _, p := range s.Pos[base:min(base+1<<s.shardShift, n)] {
+			if p >= 0 {
+				posN++
+			}
+		}
+		if m.posBase != posNext || m.posN != posN {
+			return nil, &CodecError{"core", fmt.Sprintf("shard %d position range inconsistent with the position table", si)}
+		}
+		posNext += posN
+		nOut += m.nOut
+		nIn += m.nIn
+	}
+	if nOut != s.nLinks || nIn != s.nLinks {
+		return nil, &CodecError{"core", "shard edge counts do not sum to the link count"}
+	}
 
-	res, err := newResidency(memBudgetFor(memBudget))
-	if err != nil {
-		return nil, err
-	}
 	s.shards = make([]*Shard, nSh)
-	s.refs = make([]*shardRef, nSh)
-	for si := range s.refs {
-		s.refs[si] = res.adopt(shardFiles[si], metas[si])
+	for si, file := range shardFiles {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			return nil, fmt.Errorf("compile: reading shard %d: %w", si, err)
+		}
+		sh, err := DecodeShard(data)
+		if err != nil {
+			return nil, err
+		}
+		if err := s.checkShard(sh, si, metas[si]); err != nil {
+			return nil, err
+		}
+		s.shards[si] = sh.reslice(s)
 	}
-	s.res = res
+	shardLoads.Add(uint64(nSh))
 	return s, nil
 }
 
-// ShardBytes returns shard si in the encoded shard format, faulting it in if
-// it is not resident. The serving layer's shard-granular spill writes these
-// blobs next to an EncodeCore blob; LoadSnapshot reads them back lazily.
-func (s *Snapshot) ShardBytes(si int) []byte { return EncodeShard(s.shard(si)) }
+// checkShard verifies decoded shard si against the loaded core before it is
+// trusted: its geometry (Base, N, position range, edge counts) must equal the
+// core's, its Pos/Sorts/Complex must equal the core's tables over its
+// ranges, its offsets must ascend from zero, and every edge must name an
+// in-range object and label. Any mismatch is a *CodecError.
+func (s *Snapshot) checkShard(sh *Shard, si int, m shardMeta) error {
+	bad := func(reason string) error {
+		return &CodecError{"shard", fmt.Sprintf("shard %d: %s", si, reason)}
+	}
+	base := si << s.shardShift
+	n := min(1<<s.shardShift, s.NumObjects()-base)
+	if sh.Base != base || sh.N != n || sh.PosBase != m.posBase || sh.PosN != m.posN ||
+		len(sh.OutTo) != m.nOut || len(sh.InFrom) != m.nIn {
+		return bad("geometry differs from the core")
+	}
+	if !slices.Equal(sh.Pos, s.Pos[base:base+n]) || !slices.Equal(sh.Sorts, s.Sorts[base:base+n]) ||
+		!slices.Equal(sh.Complex, s.Complex[m.posBase:m.posBase+m.posN]) {
+		return bad("tables differ from the core")
+	}
+	for _, off := range [][]int32{sh.OutOff, sh.InOff} {
+		if off[0] != 0 {
+			return bad("offsets do not start at zero")
+		}
+		for i := 0; i < n; i++ {
+			if off[i] > off[i+1] {
+				return bad("offsets do not ascend")
+			}
+		}
+	}
+	nObj := int32(s.NumObjects())
+	for _, ends := range [][]int32{sh.OutTo, sh.InFrom} {
+		for _, o := range ends {
+			if o < 0 || o >= nObj {
+				return bad("edge names an object out of range")
+			}
+		}
+	}
+	nLab := int32(len(s.Labels))
+	for _, labs := range [][]int32{sh.OutLab, sh.InLab} {
+		for _, l := range labs {
+			if l < 0 || l >= nLab {
+				return bad("edge names a label out of range")
+			}
+		}
+	}
+	return nil
+}
+
+// bitsetFromPos rebuilds the atomic bitset from the position table:
+// Pos[o] == -1 exactly for atomic objects.
+func bitsetFromPos(pos []int32) *bitset.Set {
+	b := bitset.New(len(pos))
+	for i, p := range pos {
+		if p < 0 {
+			b.Set(i)
+		}
+	}
+	return b
+}
+
+// ShardBytes returns shard si in the encoded shard format. The serving
+// layer's shard-granular spill writes these blobs next to an EncodeCore
+// blob; LoadSnapshot reads them back.
+func (s *Snapshot) ShardBytes(si int) []byte { return EncodeShard(s.shards[si]) }

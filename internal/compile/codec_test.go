@@ -1,7 +1,9 @@
 package compile
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -25,7 +27,7 @@ func codecDBs(t *testing.T) map[string]*graph.DB {
 func TestShardCodecRoundTrip(t *testing.T) {
 	for name, db := range codecDBs(t) {
 		for _, shards := range []int{1, 4, 0} {
-			s, err := Compile(db, shards, 0, 0, nil)
+			s, err := Compile(db, shards, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +52,7 @@ func TestShardCodecRoundTrip(t *testing.T) {
 // TestShardCodecRejectsCorruption: wrong magic, any flipped payload byte,
 // truncation, and inconsistent length fields all surface as *CodecError.
 func TestShardCodecRejectsCorruption(t *testing.T) {
-	s, err := Compile(chainDB(t, 256), 4, 0, 0, nil)
+	s, err := Compile(chainDB(t, 256), 4, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,32 +103,27 @@ func writeShardFiles(t testing.TB, s *Snapshot, dir string) []string {
 	return files
 }
 
-// TestCoreCodecRoundTrip pins the full out-of-core round trip: EncodeCore +
+// TestCoreCodecRoundTrip pins the full spill round trip: EncodeCore +
 // per-shard files + LoadSnapshot reconstruct a snapshot bit-identical to the
-// original (via the flattened view) at an unlimited budget and at a budget
-// so small that every access faults.
+// original (via the flattened view), laid out like a compiled one, whose core
+// re-encodes to the same bytes.
 func TestCoreCodecRoundTrip(t *testing.T) {
 	for name, db := range codecDBs(t) {
 		for _, shards := range []int{1, 4, 0} {
-			s, err := Compile(db, shards, 0, 0, nil)
+			s, err := Compile(db, shards, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			core := s.EncodeCore()
 			files := writeShardFiles(t, s, t.TempDir())
-			for _, budget := range []int64{0, 1} {
-				got, err := LoadSnapshot(db, core, files, budget)
-				if err != nil {
-					t.Fatalf("%s shards=%d budget=%d: %v", name, shards, budget, err)
-				}
-				snapEqual(t, got, s, fmt.Sprintf("%s shards=%d budget=%d", name, shards, budget))
-				if budget == 1 && s.NumShards() > 1 && ResidencyStats().Faults == 0 {
-					t.Fatal("tiny budget produced no shard faults")
-				}
-				// The core re-encodes bit-identically from the loaded snapshot.
-				if !reflect.DeepEqual(got.EncodeCore(), core) {
-					t.Fatalf("%s shards=%d budget=%d: core re-encode not bit-identical", name, shards, budget)
-				}
+			got, err := LoadSnapshot(db, core, files)
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", name, shards, err)
+			}
+			snapEqual(t, got, s, fmt.Sprintf("%s shards=%d", name, shards))
+			checkShardInvariants(t, got)
+			if !reflect.DeepEqual(got.EncodeCore(), core) {
+				t.Fatalf("%s shards=%d: core re-encode not bit-identical", name, shards)
 			}
 		}
 	}
@@ -136,50 +133,100 @@ func TestCoreCodecRoundTrip(t *testing.T) {
 // database, with the wrong shard-file count, or corrupted, is refused.
 func TestCoreCodecRejectsMismatch(t *testing.T) {
 	db := chainDB(t, 256)
-	s, err := Compile(db, 4, 0, 0, nil)
+	s, err := Compile(db, 4, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	core := s.EncodeCore()
 	files := writeShardFiles(t, s, t.TempDir())
 
-	if _, err := LoadSnapshot(chainDB(t, 128), core, files[:2], 0); err == nil {
+	if _, err := LoadSnapshot(chainDB(t, 128), core, files[:2]); err == nil {
 		t.Fatal("wrong database accepted")
 	}
-	if _, err := LoadSnapshot(db, core, files[:2], 0); err == nil {
+	if _, err := LoadSnapshot(db, core, files[:2]); err == nil {
 		t.Fatal("wrong shard-file count accepted")
 	}
 	bad := append([]byte(nil), core...)
 	bad[len(bad)-3] ^= 1
-	if _, err := LoadSnapshot(db, bad, files, 0); err == nil {
+	if _, err := LoadSnapshot(db, bad, files); err == nil {
 		t.Fatal("corrupt core accepted")
 	}
 }
 
-// TestLoadSnapshotFaultPanicsOnBadFile: a shard file that is missing or
-// corrupt surfaces as a panic at fault time (the accessors have no error
-// path; the facade contains it), not as silent garbage.
-func TestLoadSnapshotFaultPanicsOnBadFile(t *testing.T) {
-	db := chainDB(t, 256)
-	s, err := Compile(db, 4, 0, 0, nil)
+// TestCoreCodecRejectsBadSort: a validly sealed core and shard whose sort
+// tables agree on giving an atomic object a sort outside [0, NumSorts) are
+// refused, not handed to the histogram code that indexes by sort.
+func TestCoreCodecRejectsBadSort(t *testing.T) {
+	db, _ := dbg.Generate(dbg.Options{})
+	s, err := Compile(db, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := writeShardFiles(t, s, t.TempDir())
-	if err := os.Truncate(files[2], 10); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadSnapshot(db, s.EncodeCore(), files, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Shards 0, 1, 3 fault fine.
-	got.Out(graph.ObjectID(0))
-	got.Out(graph.ObjectID(200))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("fault on truncated shard file did not panic")
+	atom := -1
+	for i, p := range s.Pos {
+		if p < 0 {
+			atom = i
+			break
 		}
-	}()
-	got.Out(graph.ObjectID(130))
+	}
+	if atom < 0 {
+		t.Fatal("fixture has no atomic object")
+	}
+	// The payload is shift, link count, object count, label count, the
+	// length-prefixed labels, Pos (4 bytes per object), then Sorts.
+	payload := append([]byte(nil), s.EncodeCore()[codecHeaderLen:]...)
+	off := 4 + 8 + 4 + 4 + 4*s.NumObjects() + atom
+	for _, l := range s.Labels {
+		off += 4 + len(l)
+	}
+	payload[off] = NumSorts
+	sh := *s.Shard(0)
+	sh.Sorts = append([]uint8(nil), sh.Sorts...)
+	sh.Sorts[atom] = NumSorts
+	file := filepath.Join(t.TempDir(), "shard-0.shard")
+	if err := os.WriteFile(file, EncodeShard(&sh), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadSnapshot(db, seal(coreMagic, payload), []string{file})
+	requireCodecError(t, err)
+}
+
+// TestLoadSnapshotRejectsBadShardFiles: LoadSnapshot reads and checks every
+// shard file, so a missing file, a truncated one, and a validly sealed copy
+// of another shard's file are all refused at load time — the last two as
+// *CodecError — instead of being adopted.
+func TestLoadSnapshotRejectsBadShardFiles(t *testing.T) {
+	db := chainDB(t, 256)
+	s, err := Compile(db, 4, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core := s.EncodeCore()
+	for _, tc := range []struct {
+		name  string
+		spoil func(files []string) error
+		typed bool
+	}{
+		{"missing", func(files []string) error { return os.Remove(files[2]) }, false},
+		{"truncated", func(files []string) error { return os.Truncate(files[2], 10) }, true},
+		{"other-shard", func(files []string) error {
+			return os.WriteFile(files[2], s.ShardBytes(1), 0o644)
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			files := writeShardFiles(t, s, t.TempDir())
+			if err := tc.spoil(files); err != nil {
+				t.Fatal(err)
+			}
+			got, err := LoadSnapshot(db, core, files)
+			if err == nil {
+				t.Fatalf("loaded a snapshot over a bad shard file (%d shards)", got.NumShards())
+			}
+			if tc.typed {
+				requireCodecError(t, err)
+			} else if !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("missing shard file: error %v, want fs.ErrNotExist", err)
+			}
+		})
+	}
 }

@@ -159,12 +159,8 @@ type Snapshot struct {
 	labelID map[string]int
 
 	// shards partitions the CSR adjacency by object range; shardShift is
-	// the log2 shard size and nLinks the total out-edge count. With a
-	// residency manager attached (res != nil), shards[si] may be nil and
-	// refs[si] holds the spillable handle — the accessors fault through it.
+	// the log2 shard size and nLinks the total out-edge count.
 	shards     []*Shard
-	refs       []*shardRef
-	res        *Residency
 	shardShift uint
 	nLinks     int
 }
@@ -174,31 +170,13 @@ type Snapshot struct {
 // count (workers write disjoint rows). shards sets the layout: 0 sizes shards
 // automatically from the graph, 1 compiles the single flat block of the
 // pre-sharding layout, and k > 1 partitions the object space into (at most)
-// k fixed ranges. A positive memBudget in bytes (or the TestMemBudgetEnv
-// override when it is 0) attaches a residency manager after compilation:
-// every shard is spilled through the codec to a write-once file and the
-// byte-budgeted LRU keeps only the hottest shards resident, faulting the rest
-// in behind the Out/In accessor seam; budget 0 without the override keeps
-// the snapshot fully resident. Layout and budget are pure knobs — the
-// snapshot's contents are bit-identical at any setting. check is a
-// cooperative cancellation checkpoint (nil means "never cancel"); on a
-// non-nil check error compilation stops, all workers are joined, and the
-// error is returned with a nil snapshot.
-func Compile(db *graph.DB, shards, workers int, memBudget int64, check func() error) (*Snapshot, error) {
-	s, err := compileShift(db, shardShiftFor(shards, db.NumObjects()), workers, check)
-	if err != nil {
-		return nil, err
-	}
-	if budget := memBudgetFor(memBudget); budget > 0 {
-		res, err := newResidency(budget)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.attach(res); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
+// k fixed ranges. The layout is a pure knob — the snapshot's contents are
+// bit-identical at any setting. check is a cooperative cancellation
+// checkpoint (nil means "never cancel"); on a non-nil check error
+// compilation stops, all workers are joined, and the error is returned with
+// a nil snapshot.
+func Compile(db *graph.DB, shards, workers int, check func() error) (*Snapshot, error) {
+	return compileShift(db, shardShiftFor(shards, db.NumObjects()), workers, check)
 }
 
 // compileShift compiles db at a fixed shard-size exponent. Apply's
@@ -404,11 +382,7 @@ func (s *Snapshot) Value(o graph.ObjectID) (graph.Value, bool) { return s.db.Ato
 // (label ID, target). The slices alias the snapshot and must not be
 // modified.
 func (s *Snapshot) Out(o graph.ObjectID) (to, lab []int32) {
-	si := int(o) >> s.shardShift
-	sh := s.shards[si]
-	if sh == nil {
-		sh = s.refs[si].get()
-	}
+	sh := s.shards[int(o)>>s.shardShift]
 	i := int(o) - sh.Base
 	a, b := sh.OutOff[i], sh.OutOff[i+1]
 	return sh.OutTo[a:b], sh.OutLab[a:b]
@@ -418,11 +392,7 @@ func (s *Snapshot) Out(o graph.ObjectID) (to, lab []int32) {
 // (label ID, source). The slices alias the snapshot and must not be
 // modified.
 func (s *Snapshot) In(o graph.ObjectID) (from, lab []int32) {
-	si := int(o) >> s.shardShift
-	sh := s.shards[si]
-	if sh == nil {
-		sh = s.refs[si].get()
-	}
+	sh := s.shards[int(o)>>s.shardShift]
 	i := int(o) - sh.Base
 	a, b := sh.InOff[i], sh.InOff[i+1]
 	return sh.InFrom[a:b], sh.InLab[a:b]

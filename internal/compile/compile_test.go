@@ -9,11 +9,10 @@ import (
 	"schemex/internal/graph"
 )
 
-// compileDB compiles db with the automatic layout on every CPU, fully
-// resident unless the test budget override applies.
+// compileDB compiles db with the automatic layout on every CPU.
 func compileDB(t testing.TB, db *graph.DB) *Snapshot {
 	t.Helper()
-	s, err := Compile(db, 0, 0, 0, nil)
+	s, err := Compile(db, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +121,11 @@ func TestSnapshotHistograms(t *testing.T) {
 
 func TestCompileDeterministicAcrossWorkers(t *testing.T) {
 	db, _ := dbg.Generate(dbg.Options{})
-	serial, err := Compile(db, 0, 1, 0, nil)
+	serial, err := Compile(db, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Compile(db, 0, 0, 0, nil)
+	parallel, err := Compile(db, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +135,7 @@ func TestCompileDeterministicAcrossWorkers(t *testing.T) {
 func TestCompileCancelled(t *testing.T) {
 	db, _ := dbg.Generate(dbg.Options{})
 	boom := errors.New("boom")
-	s, err := Compile(db, 0, 1, 0, func() error { return boom })
+	s, err := Compile(db, 0, 1, func() error { return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}

@@ -69,13 +69,14 @@ func numShards(n int, shift uint) int {
 // Shard is one fixed range of the object-ID space and everything the
 // snapshot knows about it. CSR offsets are local to the shard (OutOff[0] is
 // always 0), so a shard's block is self-contained: Apply rebuilds or aliases
-// shards independently, and a future out-of-core layout can spill one
-// shard's arrays without touching its neighbours.
+// shards independently, and a durable spill writes one codec file per shard
+// (EncodeShard) that LoadSnapshot reads back and checks against the core.
 //
 // Pos, Sorts, and Complex are views into the snapshot's global tables
 // (Pos[Base:Base+N] etc.), not copies: the shard owns its slice of those
 // tables, while positional consumers (the GFP count matrices, Stage 2
-// signatures) keep the O(1) global indexing they were written against.
+// signatures) keep the O(1) global indexing they were written against. A
+// loaded snapshot's shards alias its tables the same way.
 type Shard struct {
 	// Base is the first object ID of the shard's range; N the number of
 	// objects in it (only the last shard of a snapshot may be short).
@@ -137,6 +138,7 @@ func (sh *Shard) alloc() {
 // snapshot's (equal-valued) global tables. Apply uses it when new objects
 // forced fresh global tables: the shard's CSR arrays — the bulk — stay
 // shared with the parent, only the three view headers are rebound.
+// LoadSnapshot uses it to bind a decoded shard's views to the core's tables.
 func (sh *Shard) reslice(s *Snapshot) *Shard {
 	c := *sh
 	c.Pos = s.Pos[c.Base : c.Base+c.N : c.Base+c.N]
@@ -156,7 +158,6 @@ func (s *Snapshot) ShardSize() int { return 1 << s.shardShift }
 // ShardOf reports the index of the shard owning object o.
 func (s *Snapshot) ShardOf(o graph.ObjectID) int { return int(o) >> s.shardShift }
 
-// Shard returns shard i, faulting it in from its spill file when the
-// snapshot is memory-budgeted and the shard is not resident. The shard and
-// everything it references are immutable, like the snapshot itself.
-func (s *Snapshot) Shard(i int) *Shard { return s.shard(i) }
+// Shard returns shard i. The shard and everything it references are
+// immutable, like the snapshot itself.
+func (s *Snapshot) Shard(i int) *Shard { return s.shards[i] }

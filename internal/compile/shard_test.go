@@ -36,7 +36,7 @@ func TestShardedCompileMatchesFlat(t *testing.T) {
 		{"chain256", chainDB(t, 256)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			flat, err := Compile(tc.db, 1, 1, 0, nil)
+			flat, err := Compile(tc.db, 1, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +45,7 @@ func TestShardedCompileMatchesFlat(t *testing.T) {
 			}
 			for _, shards := range []int{0, 2, 4, 7} {
 				for _, workers := range []int{1, 0} {
-					s, err := Compile(tc.db, shards, workers, 0, nil)
+					s, err := Compile(tc.db, shards, workers, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -90,15 +90,11 @@ func checkShardInvariants(t *testing.T, s *Snapshot) {
 		if sh.PosN != nComplex {
 			t.Fatalf("shard %d: PosN = %d, want %d", si, sh.PosN, nComplex)
 		}
-		// Faulted shards carry owned, value-equal views (checked above); only
-		// fully resident snapshots alias the global tables directly.
-		if s.res == nil {
-			if sh.N > 0 && &sh.Pos[0] != &s.Pos[sh.Base] {
-				t.Fatalf("shard %d: Pos view is a copy, not an alias", si)
-			}
-			if sh.PosN > 0 && &sh.Complex[0] != &s.Complex[sh.PosBase] {
-				t.Fatalf("shard %d: Complex view is a copy, not an alias", si)
-			}
+		if sh.N > 0 && (&sh.Pos[0] != &s.Pos[sh.Base] || &sh.Sorts[0] != &s.Sorts[sh.Base]) {
+			t.Fatalf("shard %d: Pos/Sorts view is a copy, not an alias", si)
+		}
+		if sh.PosN > 0 && &sh.Complex[0] != &s.Complex[sh.PosBase] {
+			t.Fatalf("shard %d: Complex view is a copy, not an alias", si)
 		}
 		base += sh.N
 		posBase += sh.PosN
@@ -118,7 +114,7 @@ func TestShardsEnvOverride(t *testing.T) {
 	if auto.NumShards() != 4 {
 		t.Fatalf("auto shards under env override = %d, want 4", auto.NumShards())
 	}
-	explicit, err := Compile(db, 1, 0, 0, nil)
+	explicit, err := Compile(db, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,22 +123,11 @@ func TestShardsEnvOverride(t *testing.T) {
 	}
 }
 
-// sharedShard reports whether got's shard si is structurally shared with
-// parent's: pointer-identical for fully resident snapshots, the same
-// spillable ref under a residency manager (where the resident copy comes and
-// goes but one file backs the lineage).
-func sharedShard(got, parent *Snapshot, si int) bool {
-	if got.res != nil {
-		return got.refs[si] != nil && got.refs[si] == parent.refs[si]
-	}
-	return got.Shard(si) == parent.Shard(si)
-}
-
 // applyBoundary applies d to a 4-shard (64 objects each) compile of db and
 // checks the result against a scratch compile of the mutated graph.
 func applyBoundary(t *testing.T, db *graph.DB, d *graph.Delta, wantShared bool) (parent, got *Snapshot) {
 	t.Helper()
-	parent, err := Compile(db, 4, 0, 0, nil)
+	parent, err := Compile(db, 4, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +141,7 @@ func applyBoundary(t *testing.T, db *graph.DB, d *graph.Delta, wantShared bool) 
 	if info.Shared != wantShared {
 		t.Fatalf("Shared = %v, want %v", info.Shared, wantShared)
 	}
-	scratch, err := Compile(got.DB().Clone(), 4, 0, 0, nil)
+	scratch, err := Compile(got.DB().Clone(), 4, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +157,7 @@ func TestShardBoundaryCrossLink(t *testing.T) {
 	d.AddLink("n10", "n200", "next")
 	parent, got := applyBoundary(t, chainDB(t, 256), &d, true)
 	for si, wantAliased := range []bool{false, true, true, false} {
-		if aliased := sharedShard(got, parent, si); aliased != wantAliased {
+		if aliased := got.Shard(si) == parent.Shard(si); aliased != wantAliased {
 			t.Errorf("shard %d: aliased = %v, want %v", si, aliased, wantAliased)
 		}
 	}
@@ -192,7 +177,7 @@ func TestShardBoundaryEmptyShard(t *testing.T) {
 	}
 	// Shards 0 and 2 are dirty only at their boundary objects (n63, n128);
 	// shard 3 is untouched and must stay shared.
-	if !sharedShard(got, parent, 3) {
+	if got.Shard(3) != parent.Shard(3) {
 		t.Fatal("untouched shard 3 not shared with parent")
 	}
 }
@@ -210,14 +195,6 @@ func TestShardBoundaryGrowth(t *testing.T) {
 		t.Fatalf("NumShards = %d, want %d", got.NumShards(), want)
 	}
 	for _, si := range []int{0, 1, 2} {
-		if got.res != nil {
-			// Under a residency manager clean shards share the parent's ref
-			// outright — no reslice, owned value-equal views on fault.
-			if !sharedShard(got, parent, si) {
-				t.Fatalf("shard %d: not sharing the parent's ref", si)
-			}
-			continue
-		}
 		g, p := got.Shard(si), parent.Shard(si)
 		if g == p {
 			t.Fatalf("shard %d: pointer-aliased despite new global tables", si)
@@ -235,11 +212,11 @@ func TestApplyAliasesUntouchedShards(t *testing.T) {
 	var d graph.Delta
 	d.AddLink("n1", "n3", "next")
 	parent, got := applyBoundary(t, chainDB(t, 256), &d, true)
-	if sharedShard(got, parent, 0) {
+	if got.Shard(0) == parent.Shard(0) {
 		t.Fatal("touched shard 0 was not rebuilt")
 	}
 	for si := 1; si < 4; si++ {
-		if !sharedShard(got, parent, si) {
+		if got.Shard(si) != parent.Shard(si) {
 			t.Fatalf("untouched shard %d not shared with parent", si)
 		}
 	}
@@ -248,7 +225,7 @@ func TestApplyAliasesUntouchedShards(t *testing.T) {
 // TestEmptyDBSharded: an empty graph compiles to zero shards at any count.
 func TestEmptyDBSharded(t *testing.T) {
 	for _, shards := range []int{0, 1, 4} {
-		s, err := Compile(graph.New(), shards, 0, 0, nil)
+		s, err := Compile(graph.New(), shards, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,7 +27,7 @@ func TestApplyBatchShardDeterminism(t *testing.T) {
 	ctx := context.Background()
 	const batch = 4
 	for _, cfg := range shardConfigs {
-		cur, err := Prepare(ctx, db, cfg.par, cfg.shards, 0)
+		cur, err := Prepare(ctx, db, cfg.par, cfg.shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestApplyBatchCoalesces(t *testing.T) {
 	db.Link("root", "a", "child")
 	db.Link("root", "b", "child")
 	db.Freeze()
-	p, err := Prepare(context.Background(), db, 0, 0, 0)
+	p, err := Prepare(context.Background(), db, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestApplyBatchFailureLeavesParent(t *testing.T) {
 	db := graph.New()
 	db.Link("root", "a", "child")
 	db.Freeze()
-	p, err := Prepare(context.Background(), db, 0, 0, 0)
+	p, err := Prepare(context.Background(), db, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

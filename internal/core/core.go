@@ -65,12 +65,6 @@ type Options struct {
 	// Limits bounds the resources an extraction may consume. Violations
 	// surface as *graph.LimitError. The zero value imposes no caps.
 	Limits Limits
-	// MemBudget bounds the bytes of compiled shard data held resident at
-	// once: shards past the budget spill to disk through the shard codec and
-	// fault back in on access (LRU). 0 means fully resident (or the
-	// SCHEMEX_TEST_MEM_BUDGET override). Purely a paging knob — results are
-	// bit-identical at any budget; pinned phases may transiently overcommit.
-	MemBudget int64
 }
 
 // Limits bounds the resources an extraction run may consume. Each cap is
@@ -398,7 +392,7 @@ type stage23 struct {
 }
 
 // stage23Key identifies every option that influences Stages 2 and 3 given a
-// fixed Stage 1 result (parallelism, the memory budget, and limits never do).
+// fixed Stage 1 result (parallelism and limits never do).
 type stage23Key struct {
 	s1          stage1Key
 	k           int
@@ -462,16 +456,14 @@ func stage1KeyOf(opts Options) (stage1Key, bool) {
 }
 
 // Prepare compiles db into a reusable extraction context. parallelism
-// bounds the compilation's workers (<= 0 means one per CPU), and memBudget
-// the resident-shard memory budget in bytes (see Options.MemBudget; 0 means
-// fully resident). shards sets the snapshot's object-range layout: 0 sizes
-// shards automatically (or from SCHEMEX_TEST_SHARDS), 1 forces a single flat
-// block, k > 1 requests at most k shards; results are bit-identical at any
-// layout. Snapshots derived from the result through Apply inherit the layout
-// and the budget — one LRU serves the whole session lineage. The compilation
-// stops at the next checkpoint once ctx is cancelled.
-func Prepare(ctx context.Context, db *graph.DB, parallelism, shards int, memBudget int64) (*Prepared, error) {
-	snap, err := compile.Compile(db, shards, par.Workers(parallelism), memBudget, checkFunc(ctx))
+// bounds the compilation's workers (<= 0 means one per CPU). shards sets the
+// snapshot's object-range layout: 0 sizes shards automatically (or from
+// SCHEMEX_TEST_SHARDS), 1 forces a single flat block, k > 1 requests at most
+// k shards; results are bit-identical at any layout. Snapshots derived from
+// the result through Apply inherit the layout. The compilation stops at the
+// next checkpoint once ctx is cancelled.
+func Prepare(ctx context.Context, db *graph.DB, parallelism, shards int) (*Prepared, error) {
+	snap, err := compile.Compile(db, shards, par.Workers(parallelism), checkFunc(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -480,18 +472,18 @@ func Prepare(ctx context.Context, db *graph.DB, parallelism, shards int, memBudg
 
 // PrepareSpilled reconstructs a Prepared from a shard-granular spill:
 // an EncodeCore blob plus one EncodeShard file per shard (in shard order).
-// No shard file is read here — each faults in, checksum-verified, on first
-// access — so rehydrating a durable session costs the core blob plus only
-// the shards the next request touches. db must be the database the spilled
-// snapshot was compiled from (the serving layer persists the graph text
-// beside the shard files).
-func PrepareSpilled(ctx context.Context, db *graph.DB, core []byte, shardFiles []string, memBudget int64) (*Prepared, error) {
+// Every shard file is read and checked against the core here
+// (compile.LoadSnapshot), so the result is laid out like a compiled one
+// and a damaged spill fails now rather than at a later access. db must be
+// the database the spilled snapshot was compiled from (the serving layer
+// persists the graph text beside the shard files).
+func PrepareSpilled(ctx context.Context, db *graph.DB, core []byte, shardFiles []string) (*Prepared, error) {
 	if check := checkFunc(ctx); check != nil {
 		if err := check(); err != nil {
 			return nil, err
 		}
 	}
-	snap, err := compile.LoadSnapshot(db, core, shardFiles, memBudget)
+	snap, err := compile.LoadSnapshot(db, core, shardFiles)
 	if err != nil {
 		return nil, err
 	}
@@ -504,7 +496,7 @@ func PrepareSpilled(ctx context.Context, db *graph.DB, core []byte, shardFiles [
 func (p *Prepared) EncodeSnapshotCore() []byte { return p.snap.EncodeCore() }
 
 // EncodeShard serializes shard si of the prepared snapshot in the versioned
-// checksummed shard format, faulting it in if it is not resident.
+// checksummed shard format.
 func (p *Prepared) EncodeShard(si int) []byte { return p.snap.ShardBytes(si) }
 
 // NumShards reports how many fixed-range object shards the prepared
@@ -685,7 +677,7 @@ func ExtractContext(ctx context.Context, db *graph.DB, opts Options) (*Result, e
 	if err := opts.Limits.checkGraph(db); err != nil {
 		return nil, err
 	}
-	prep, err := Prepare(ctx, db, opts.Parallelism, 0, opts.MemBudget)
+	prep, err := Prepare(ctx, db, opts.Parallelism, 0)
 	if err != nil {
 		return nil, wrapWall(err)
 	}
@@ -1104,7 +1096,7 @@ func Sweep(ctx context.Context, db *graph.DB, opts Options) (*SweepResult, error
 	if err := opts.Limits.checkGraph(db); err != nil {
 		return nil, err
 	}
-	prep, err := Prepare(ctx, db, opts.Parallelism, 0, opts.MemBudget)
+	prep, err := Prepare(ctx, db, opts.Parallelism, 0)
 	if err != nil {
 		return nil, wrapWall(err)
 	}

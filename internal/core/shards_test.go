@@ -36,17 +36,17 @@ func outcomeOf(res *Result) shardOutcome {
 }
 
 // extractLayout extracts db at K 5 from a snapshot compiled with the given
-// shard count, parallelism and memory budget.
-func extractLayout(t *testing.T, db *graph.DB, shards, par int, budget int64) shardOutcome {
+// shard count and parallelism.
+func extractLayout(t *testing.T, db *graph.DB, shards, par int) shardOutcome {
 	t.Helper()
 	ctx := context.Background()
-	prep, err := Prepare(ctx, db, par, shards, budget)
+	prep, err := Prepare(ctx, db, par, shards)
 	if err != nil {
-		t.Fatalf("prepare (shards=%d, p=%d, budget=%d): %v", shards, par, budget, err)
+		t.Fatalf("prepare (shards=%d, p=%d): %v", shards, par, err)
 	}
 	res, err := ExtractPrepared(ctx, prep, Options{K: 5, Parallelism: par})
 	if err != nil {
-		t.Fatalf("extract (shards=%d, p=%d, budget=%d): %v", shards, par, budget, err)
+		t.Fatalf("extract (shards=%d, p=%d): %v", shards, par, err)
 	}
 	return outcomeOf(res)
 }
@@ -67,9 +67,9 @@ func TestExtractShardDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := extractLayout(t, db, 1, 1, 0)
+		ref := extractLayout(t, db, 1, 1)
 		for _, cfg := range shardConfigs[1:] {
-			got := extractLayout(t, db, cfg.shards, cfg.par, 0)
+			got := extractLayout(t, db, cfg.shards, cfg.par)
 			if !reflect.DeepEqual(got, ref) {
 				t.Errorf("%s: result diverges at Shards=%d Parallelism=%d:\nref: %+v\ngot: %+v",
 					p.Spec.Name, cfg.shards, cfg.par, ref, got)
@@ -88,7 +88,7 @@ func TestExtractShardDeterminism(t *testing.T) {
 func buildShardStream(t *testing.T, db *graph.DB, seed int64, hops int) ([]*graph.Delta, []shardOutcome) {
 	t.Helper()
 	ctx := context.Background()
-	cur, err := Prepare(ctx, db, 1, 1, 0)
+	cur, err := Prepare(ctx, db, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,36 +183,12 @@ func TestApplyStreamShardDeterminism(t *testing.T) {
 	const hops = 10
 	deltas, refs := buildShardStream(t, db, 23, hops)
 
-	ctx := context.Background()
 	for _, cfg := range shardConfigs {
-		cur, err := Prepare(ctx, db, cfg.par, cfg.shards, 0)
+		cur, err := Prepare(context.Background(), db, cfg.par, cfg.shards)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sawFallback, sawMultiShard := false, false
-		for h, d := range deltas {
-			next, info, err := cur.Apply(ctx, d, cfg.par)
-			if err != nil {
-				t.Fatalf("shards=%d p=%d hop %d: %v", cfg.shards, cfg.par, h, err)
-			}
-			for _, o := range info.Touched {
-				if next.Snapshot().ShardOf(o) != next.Snapshot().ShardOf(info.Touched[0]) {
-					sawMultiShard = true
-				}
-			}
-			if !info.Shared {
-				sawFallback = true
-			}
-			cur = next
-			res, err := ExtractPrepared(ctx, cur, Options{K: 5, Parallelism: cfg.par})
-			if err != nil {
-				t.Fatalf("shards=%d p=%d hop %d extract: %v", cfg.shards, cfg.par, h, err)
-			}
-			if got := outcomeOf(res); !reflect.DeepEqual(got, refs[h]) {
-				t.Fatalf("shards=%d p=%d: outcome diverges at hop %d:\nref: %+v\ngot: %+v",
-					cfg.shards, cfg.par, h, refs[h], got)
-			}
-		}
+		cur, sawFallback, sawMultiShard := replayStream(t, cur, cfg.shards, cfg.par, deltas, refs)
 		if cfg.shards == 4 {
 			if cur.NumShards() < 2 {
 				t.Fatalf("shards=4 session ended with %d shards; stream never exercised a multi-shard layout", cur.NumShards())
@@ -225,4 +201,38 @@ func TestApplyStreamShardDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// replayStream applies deltas to cur one hop at a time at parallelism par
+// and requires the extraction outcome after every hop to equal refs. It
+// returns the last session and reports whether the stream took a fallback
+// recompile and produced a multi-shard delta footprint. shards only labels
+// failures.
+func replayStream(t *testing.T, cur *Prepared, shards, par int, deltas []*graph.Delta, refs []shardOutcome) (last *Prepared, sawFallback, sawMultiShard bool) {
+	t.Helper()
+	ctx := context.Background()
+	for h, d := range deltas {
+		next, info, err := cur.Apply(ctx, d, par)
+		if err != nil {
+			t.Fatalf("shards=%d p=%d hop %d: %v", shards, par, h, err)
+		}
+		for _, o := range info.Touched {
+			if next.Snapshot().ShardOf(o) != next.Snapshot().ShardOf(info.Touched[0]) {
+				sawMultiShard = true
+			}
+		}
+		if !info.Shared {
+			sawFallback = true
+		}
+		cur = next
+		res, err := ExtractPrepared(ctx, cur, Options{K: 5, Parallelism: par})
+		if err != nil {
+			t.Fatalf("shards=%d p=%d hop %d extract: %v", shards, par, h, err)
+		}
+		if got := outcomeOf(res); !reflect.DeepEqual(got, refs[h]) {
+			t.Fatalf("shards=%d p=%d: outcome diverges at hop %d:\nref: %+v\ngot: %+v",
+				shards, par, h, refs[h], got)
+		}
+	}
+	return cur, sawFallback, sawMultiShard
 }

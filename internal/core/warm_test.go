@@ -60,7 +60,7 @@ func addRecord(d *graph.Delta, name string, attrs ...string) {
 // Prepared — or across a chain of empty deltas — replays the retained result
 // without running any stage, and the lineage counters record it.
 func TestWarmExtractFastPathAndStats(t *testing.T) {
-	prep, err := Prepare(context.Background(), recordsDB(), 0, 0, 0)
+	prep, err := Prepare(context.Background(), recordsDB(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestWarmExtractFastPathAndStats(t *testing.T) {
 // warm-starts Stages 2 and 3 and stays bit-identical to extracting the
 // mutated graph from scratch, at serial and parallel settings.
 func TestWarmExtractAfterDelta(t *testing.T) {
-	prep, err := Prepare(context.Background(), recordsDB(), 0, 0, 0)
+	prep, err := Prepare(context.Background(), recordsDB(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestWarmExtractClassMigration(t *testing.T) {
 	d.AddAtomic("book0.edition", atomV)
 	d.AddLink("book0", "book0.edition", "edition")
 
-	prep, err := Prepare(context.Background(), recordsDB(), 0, 0, 0)
+	prep, err := Prepare(context.Background(), recordsDB(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestWarmStateOptionKeying(t *testing.T) {
 
 	// Stage 1 options key the matrix: state captured with UseSorts must not
 	// seed a run without it.
-	prep, err := Prepare(context.Background(), recordsDB(), 0, 0, 0)
+	prep, err := Prepare(context.Background(), recordsDB(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestWarmStateOptionKeying(t *testing.T) {
 
 	// MultiRole reshapes the pre-clustering program: such runs are excluded
 	// from capture and replay entirely.
-	prep2, err := Prepare(context.Background(), recordsDB(), 0, 0, 0)
+	prep2, err := Prepare(context.Background(), recordsDB(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestWarmStateOptionKeying(t *testing.T) {
 	// Clustering options key the retained merge run: a run made under one
 	// distance or empty-type policy must not answer another, even over the
 	// same program.
-	prep3, err := Prepare(context.Background(), recordsDB(), 0, 0, 0)
+	prep3, err := Prepare(context.Background(), recordsDB(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func d2() *graph.Delta {
 // graph.
 func TestWarmExtractRandomStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(1998))
-	prep, err := Prepare(context.Background(), recordsDB(), 0, 0, 0)
+	prep, err := Prepare(context.Background(), recordsDB(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestPreparedConcurrentUse(t *testing.T) {
 	}
 
 	// Prime the lineage so every goroutine finds a retained run to adopt.
-	prep, err := Prepare(context.Background(), db, 0, 0, 0)
+	prep, err := Prepare(context.Background(), db, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

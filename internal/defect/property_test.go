@@ -33,7 +33,7 @@ func randomScenario(rng *rand.Rand) (*graph.DB, *typing.Assignment) {
 		db.Atom(atom, atom)
 		db.Link(names[rng.Intn(n)], atom, labels[rng.Intn(len(labels))])
 	}
-	snap, err := compile.Compile(db, 0, 0, 0, nil)
+	snap, err := compile.Compile(db, 0, 0, nil)
 	if err != nil {
 		panic(err)
 	}

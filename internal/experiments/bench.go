@@ -102,7 +102,7 @@ func RunBench() (*BenchReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	snapX1, err := compile.Compile(dbgX1, 0, 0, 0, nil)
+	snapX1, err := compile.Compile(dbgX1, 0, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +110,7 @@ func RunBench() (*BenchReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap7, err := compile.Compile(db7, 0, 0, 0, nil)
+	snap7, err := compile.Compile(db7, 0, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +144,7 @@ func RunBench() (*BenchReport, error) {
 
 	measure("stage1/gfp-classes/dbg-x2", func(workers int, b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			snap, err := compile.Compile(dbgX2, 0, workers, 0, nil)
+			snap, err := compile.Compile(dbgX2, 0, workers, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -166,7 +166,7 @@ func RunBench() (*BenchReport, error) {
 			}
 			rc := recast.DefaultOptions()
 			rc.Parallelism = workers
-			snap, err := compile.Compile(dbgX1, 0, workers, 0, nil)
+			snap, err := compile.Compile(dbgX1, 0, workers, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -185,7 +185,7 @@ func RunBench() (*BenchReport, error) {
 		rc := recast.DefaultOptions()
 		rc.Parallelism = workers
 		for i := 0; i < b.N; i++ {
-			snap, err := compile.Compile(dbgX2, 0, workers, 0, nil)
+			snap, err := compile.Compile(dbgX2, 0, workers, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -212,7 +212,7 @@ func RunBench() (*BenchReport, error) {
 				}
 			}
 		})
-		prep, err := core.Prepare(ctx, db, 0, 0, 0)
+		prep, err := core.Prepare(ctx, db, 0, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -245,7 +245,7 @@ func RunBench() (*BenchReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		prep, err := core.Prepare(ctx, db, 0, 0, 0)
+		prep, err := core.Prepare(ctx, db, 0, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -263,7 +263,7 @@ func RunBench() (*BenchReport, error) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := core.Prepare(ctx, child, 0, 0, 0); err != nil {
+					if _, err := core.Prepare(ctx, child, 0, 0); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -299,7 +299,7 @@ func RunBench() (*BenchReport, error) {
 			return nil, err
 		}
 		opts := core.Options{K: p.Intended()}
-		prep, err := core.Prepare(ctx, db, 0, 0, 0)
+		prep, err := core.Prepare(ctx, db, 0, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -320,7 +320,7 @@ func RunBench() (*BenchReport, error) {
 			}
 			cold := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					cp, err := core.Prepare(ctx, childDB, 0, 0, 0)
+					cp, err := core.Prepare(ctx, childDB, 0, 0)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -380,7 +380,7 @@ func RunBench() (*BenchReport, error) {
 			name   string
 			shards int
 		}{{"s1", 1}, {"s4", 4}, {"auto", 0}} {
-			prep, err := core.Prepare(ctx, dbgX16, 0, sc.shards, 0)
+			prep, err := core.Prepare(ctx, dbgX16, 0, sc.shards)
 			if err != nil {
 				return nil, err
 			}
@@ -412,56 +412,6 @@ func RunBench() (*BenchReport, error) {
 					}
 				})
 			}
-		}
-	}
-
-	// Out-of-core serving: the warm apply + re-extract round trip on the
-	// same 11k-object graph, fully resident vs. under a memory budget that
-	// keeps roughly two of the auto layout's shards resident (shards page
-	// through spill files; phase pins hold the typing working set). The
-	// resident result is the baseline the budgeted one is read against.
-	{
-		dbgX16, _ := dbg.Generate(dbg.Options{Scale: 16})
-		realDelta := benchDelta(dbgX16, 0)
-		probe, err := core.Prepare(ctx, dbgX16, 0, 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		var budget int64
-		for si := 0; si < probe.NumShards(); si++ {
-			if n := int64(len(probe.EncodeShard(si))); n > budget {
-				budget = n
-			}
-		}
-		budget *= 2
-		for _, bc := range []struct {
-			name      string
-			memBudget int64
-		}{{"resident", 0}, {"2shard", budget}} {
-			prep, err := core.Prepare(ctx, dbgX16, 0, 0, bc.memBudget)
-			if err != nil {
-				return nil, err
-			}
-			if realDelta == nil {
-				break
-			}
-			opts := core.Options{K: 6, MemBudget: bc.memBudget}
-			if _, err := core.ExtractPrepared(ctx, prep, opts); err != nil {
-				return nil, err
-			}
-			measure(fmt.Sprintf("outofcore/warm-extract-%s/dbg-x16", bc.name), func(workers int, b *testing.B) {
-				o := opts
-				o.Parallelism = workers
-				for i := 0; i < b.N; i++ {
-					child, _, err := prep.Apply(ctx, realDelta, workers)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := core.ExtractPrepared(ctx, child, o); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
 		}
 	}
 

@@ -19,7 +19,7 @@ func benchWarmExtract(b *testing.B, frac float64) {
 		b.Fatal(err)
 	}
 	opts := core.Options{K: p.Intended()}
-	prep, err := core.Prepare(context.Background(), db, 0, 0, 0)
+	prep, err := core.Prepare(context.Background(), db, 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,10 +12,11 @@
 //	    wal-<V>.log          base record (same graph) + one delta per record
 //
 // The log's leading base record makes it self-sufficient: recovery prefers
-// the compiled spill (core + shard files, loaded without recompiling and with
-// shards faulted lazily as requests touch them), falls back to recompiling
-// the snapshot graph, and a missing snapshot falls back to a full replay from
-// the base record. A torn final frame (crash mid-append) is dropped; interior
+// the compiled spill (core + shard files, every one read and checked against
+// the core, so nothing is recompiled and no file is read again), falls back
+// to recompiling the snapshot graph when any spill file is missing or
+// damaged, and a missing snapshot falls back to a full replay from the base
+// record. A torn final frame (crash mid-append) is dropped; interior
 // corruption surfaces as a typed *wal.CorruptError and the session is
 // refused, not served wrong.
 package httpapi
@@ -122,14 +123,13 @@ func (s *session) persistLocked(a *api, ds []*schemex.Delta, next *schemex.Prepa
 
 // spillTo writes a new durable generation for the given state: graph
 // snapshot file, compiled-snapshot core blob plus one file per CSR shard
-// (the shard-granular spill that lets recovery skip recompilation and load
-// only the shards a request touches), a fresh log seeded with a base record,
-// then the manifest rename that commits the switch. Every step before the
-// rename leaves the previous generation authoritative, so a crash (or an
-// error return) anywhere in between — including between the shard-file
-// writes and the manifest rename — recovers to the old generation with
-// nothing lost; only after the commit are the old files retired and stale
-// leftovers swept.
+// (the shard-granular spill that lets recovery skip recompilation), a fresh
+// log seeded with a base record, then the manifest rename that commits the
+// switch. Every step before the rename leaves the previous generation
+// authoritative, so a crash (or an error return) anywhere in between —
+// including between the shard-file writes and the manifest rename — recovers
+// to the old generation with nothing lost; only after the commit are the old
+// files retired and stale leftovers swept.
 func (s *session) spillTo(prep *schemex.Prepared, pol wal.SyncPolicy) error {
 	v := prep.Version()
 	var base bytes.Buffer
@@ -196,21 +196,16 @@ func (s *session) spillTo(prep *schemex.Prepared, pol wal.SyncPolicy) error {
 }
 
 // sweepStale removes generation files (snapshot-*, shard-*, wal-*) that are
-// neither part of the current generation nor pinned by a recovery-adopted
-// compiled snapshot (whose non-resident shard refs may still fault from
-// them). Called after a committed spill, it retires the previous generation
-// and cleans up leftovers of spills that failed or crashed before their
-// manifest rename. Errors are ignored: a file that cannot be removed today
-// is swept after the next spill.
+// not part of the current generation. Called after a committed spill, it
+// retires the previous generation and cleans up leftovers of spills that
+// failed or crashed before their manifest rename. Errors are ignored: a file
+// that cannot be removed today is swept after the next spill.
 func (s *session) sweepStale() {
 	keep := map[string]bool{
 		wal.ManifestName: true,
 		s.snapFile:       true, s.coreFile: true, s.logFile: true,
 	}
 	for _, n := range s.shardFiles {
-		keep[n] = true
-	}
-	for n := range s.pinned {
 		keep[n] = true
 	}
 	entries, err := os.ReadDir(s.dir)
@@ -357,10 +352,10 @@ func (a *api) recoverAll() error {
 
 // recoverSession rebuilds one session log-suffix-over-snapshot and adds it
 // to the store. The fast path loads the manifest's compiled spill — core blob
-// plus per-shard codec files, skipping recompilation and reading zero shard
-// bytes until a request faults them — and replays the log from logOffset. A
-// manifest without spilled shards (or with any of its files missing or
-// unreadable) recompiles the snapshot graph instead, and a missing snapshot
+// plus per-shard codec files, each read and checked against the core, which
+// skips recompilation — and replays the log from logOffset. A manifest
+// without spilled shards (or with any of its files missing, unreadable or
+// damaged) recompiles the snapshot graph instead, and a missing snapshot
 // falls back to a full replay from the log's base record. A torn final frame
 // is truncated away when the log is reopened for appending; any interior
 // corruption aborts with the typed error from the wal package.
@@ -374,7 +369,6 @@ func (a *api) recoverSession(id string) (*session, error) {
 	ctx := context.Background()
 
 	var prep *schemex.Prepared
-	pinned := map[string]bool{}
 	from := m.LogOffset
 	snapData, serr := os.ReadFile(filepath.Join(dir, m.Snapshot))
 	switch {
@@ -383,16 +377,8 @@ func (a *api) recoverSession(id string) (*session, error) {
 		if err != nil {
 			return nil, fmt.Errorf("snapshot %s: %w", m.Snapshot, err)
 		}
-		if prep = a.loadSpilled(ctx, dir, m, g); prep != nil {
-			// The adopted snapshot faults from this generation's shard files
-			// for as long as the session lives: pin them so later spills'
-			// stale-file sweeps leave them on disk.
-			pinned[m.Core] = true
-			for _, n := range m.Shards {
-				pinned[n] = true
-			}
-		} else {
-			if prep, err = schemex.PrepareOptions(ctx, g, schemex.Options{MemBudget: a.memBudget}); err != nil {
+		if prep = a.loadSpilled(ctx, dir, m, g); prep == nil {
+			if prep, err = schemex.PrepareOptions(ctx, g, schemex.Options{}); err != nil {
 				return nil, err
 			}
 		}
@@ -414,7 +400,7 @@ func (a *api) recoverSession(id string) (*session, error) {
 			if err != nil {
 				return fmt.Errorf("base record: %w", err)
 			}
-			p, err := schemex.PrepareOptions(ctx, g, schemex.Options{MemBudget: a.memBudget})
+			p, err := schemex.PrepareOptions(ctx, g, schemex.Options{})
 			if err != nil {
 				return err
 			}
@@ -450,19 +436,17 @@ func (a *api) recoverSession(id string) (*session, error) {
 	s := &session{
 		id: id, prep: prep, dir: dir, log: lg,
 		snapFile: m.Snapshot, coreFile: m.Core, logFile: m.Log,
-		shardFiles: m.Shards, pinned: pinned, sinceSpill: replayed,
+		shardFiles: m.Shards, sinceSpill: replayed,
 	}
 	a.sessions.add(s)
 	return s, nil
 }
 
 // loadSpilled attempts the recompile-free recovery path: when the manifest
-// records a compiled spill, stat every shard file up front (an adopted
-// snapshot that later faults on a missing file would 500 the first request
-// to touch that shard — better to recompile now) and load the snapshot from
-// the core blob with lazy, budget-managed shard residency. Any failure
-// returns nil and the caller recompiles from the graph; the spill is an
-// optimization, never a correctness requirement.
+// records a compiled spill, load the snapshot from the core blob and every
+// shard file, each checked against the core. Any failure — a missing,
+// truncated or mismatched file — returns nil and the caller recompiles from
+// the graph; the spill is an optimization, never a correctness requirement.
 func (a *api) loadSpilled(ctx context.Context, dir string, m wal.Manifest, g *schemex.Graph) *schemex.Prepared {
 	if m.Core == "" || len(m.Shards) == 0 {
 		return nil
@@ -474,11 +458,8 @@ func (a *api) loadSpilled(ctx context.Context, dir string, m wal.Manifest, g *sc
 	paths := make([]string, len(m.Shards))
 	for i, n := range m.Shards {
 		paths[i] = filepath.Join(dir, n)
-		if _, err := os.Stat(paths[i]); err != nil {
-			return nil
-		}
 	}
-	prep, err := schemex.PrepareSpilled(ctx, g, core, paths, schemex.Options{MemBudget: a.memBudget})
+	prep, err := schemex.PrepareSpilled(ctx, g, core, paths, schemex.Options{})
 	if err != nil {
 		log.Printf("httpapi: %s: spilled snapshot rejected, recompiling: %v", dir, err)
 		return nil

@@ -223,13 +223,6 @@ type Config struct {
 	// re-runs graph parsing and snapshot compilation per session, so the pool
 	// bounds both CPU and peak memory during a restart over a large DataDir.
 	RecoverConcurrency int
-	// MemBudget, when positive, bounds the bytes of compiled shard data each
-	// prepared snapshot lineage holds resident (schemex.Options.MemBudget):
-	// shards past the budget spill to disk and fault back in on access, with
-	// counters on /v1/metrics (schemex_shard_faults / _evictions / _pins).
-	// Applies to cache entries, sessions, and recovery alike; 0 keeps
-	// everything resident. Results are bit-identical at any budget.
-	MemBudget int64
 	// QueueDepth bounds queued-but-unapplied mutations per session (default
 	// DefaultQueueDepth); past it mutate requests shed with 429 +
 	// Retry-After. See queue.go.
@@ -259,7 +252,6 @@ type api struct {
 	spillEvery int
 	spillBytes int64
 	recoverPar int
-	memBudget  int64
 
 	// recoverMu serializes disk-level session lifecycle (rehydrate, delete,
 	// startup recovery) so two requests for the same evicted id cannot both
@@ -306,9 +298,6 @@ func newAPI(cfg Config) *api {
 	if cfg.RecoverConcurrency < 0 {
 		panic(fmt.Sprintf("httpapi: negative RecoverConcurrency in %+v", cfg))
 	}
-	if cfg.MemBudget < 0 {
-		panic(fmt.Sprintf("httpapi: negative MemBudget in %+v", cfg))
-	}
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
@@ -326,7 +315,6 @@ func newAPI(cfg Config) *api {
 		spillEvery: cfg.SpillEvery,
 		spillBytes: cfg.SpillBytes,
 		recoverPar: cfg.RecoverConcurrency,
-		memBudget:  cfg.MemBudget,
 		corrupt:    make(map[string]error),
 
 		queues:      make(map[string]*mutQueue),
@@ -564,7 +552,7 @@ func (a *api) loadPrepared(ctx context.Context, data, format string) (*schemex.P
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	prep, err := schemex.PrepareOptions(ctx, g, schemex.Options{MemBudget: a.memBudget})
+	prep, err := schemex.PrepareOptions(ctx, g, schemex.Options{})
 	if err != nil {
 		return nil, extractStatus(err), err
 	}

@@ -65,19 +65,12 @@ var (
 	metricQueueShed = metricInt("schemex_queue_shed")
 )
 
-// Shard residency counters (Config.MemBudget): read live from the library's
-// process-wide counters so they need no per-handler plumbing. Faults are
-// shards decoded back in from spill files, evictions shards dropped to meet
-// a budget, pins the phases that held their working set resident.
+// schemex_shard_faults counts the shard files session recovery has loaded
+// from durable spills, read live from the library's process-wide counter so
+// it needs no per-handler plumbing.
 func init() {
 	metricFunc("schemex_shard_faults", func() interface{} {
-		return schemex.ReadResidencyStats().ShardFaults
-	})
-	metricFunc("schemex_shard_evictions", func() interface{} {
-		return schemex.ReadResidencyStats().ShardEvictions
-	})
-	metricFunc("schemex_shard_pins", func() interface{} {
-		return schemex.ReadResidencyStats().ShardPins
+		return schemex.ShardsLoaded()
 	})
 	// Per-endpoint request percentiles and write-pipeline gauges, computed on
 	// demand from the process-wide rings below.

@@ -32,11 +32,7 @@ type session struct {
 	// dir is the session directory, log the open write-ahead log, snapFile/
 	// coreFile/shardFiles/logFile the current manifest generation's file
 	// names, and sinceSpill the deltas logged since the last snapshot spill.
-	// pinned names shard/core files a recovery adopted into the live
-	// compiled snapshot: non-resident shard refs may fault from them at any
-	// time, so generation rotation must never delete them while this session
-	// object lives (DELETE removes the whole directory only after the
-	// session is closed). evicted marks a session the LRU flushed out (or
+	// evicted marks a session the LRU flushed out (or
 	// DELETE removed): requests that still hold the pointer see a consistent
 	// "unknown session" instead of appending to a closed log.
 	dir        string
@@ -45,7 +41,6 @@ type session struct {
 	coreFile   string
 	shardFiles []string
 	logFile    string
-	pinned     map[string]bool
 	sinceSpill int
 	evicted    bool
 }
@@ -251,7 +246,7 @@ func (a *api) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	prep, err := schemex.PrepareOptions(r.Context(), g, schemex.Options{MemBudget: a.memBudget})
+	prep, err := schemex.PrepareOptions(r.Context(), g, schemex.Options{})
 	if err != nil {
 		writeError(w, extractStatus(err), err)
 		return

@@ -76,7 +76,7 @@ func checkExtentWarmAndCold(t *testing.T, name string, db *graph.DB, opts Option
 		}
 		return res
 	}
-	snap, err := compile.Compile(db, 0, opts.Parallelism, 0, nil)
+	snap, err := compile.Compile(db, 0, opts.Parallelism, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func checkExtentWarmAndCold(t *testing.T, name string, db *graph.DB, opts Option
 	if err != nil {
 		t.Fatalf("%s: warm: %v", name, err)
 	}
-	fresh, err := compile.Compile(child.DB(), 0, opts.Parallelism, 0, nil)
+	fresh, err := compile.Compile(child.DB(), 0, opts.Parallelism, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // snapOf compiles db with the automatic layout on every CPU.
 func snapOf(t testing.TB, db *graph.DB) *compile.Snapshot {
 	t.Helper()
-	snap, err := compile.Compile(db, 0, 0, 0, nil)
+	snap, err := compile.Compile(db, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func snapOf(t testing.TB, db *graph.DB) *compile.Snapshot {
 
 // minimal compiles db and runs Stage 1 cold.
 func minimal(db *graph.DB, opts Options) (*Result, error) {
-	snap, err := compile.Compile(db, 0, opts.Parallelism, 0, opts.Check)
+	snap, err := compile.Compile(db, 0, opts.Parallelism, opts.Check)
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,7 @@ import (
 // snapOf compiles db with the automatic layout on every CPU.
 func snapOf(tb testing.TB, db *graph.DB) *compile.Snapshot {
 	tb.Helper()
-	snap, err := compile.Compile(db, 0, 0, 0, nil)
+	snap, err := compile.Compile(db, 0, 0, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

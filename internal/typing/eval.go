@@ -198,13 +198,6 @@ func atomicWitnessSnap(snap *compile.Snapshot, to graph.ObjectID, l TypedLink) b
 // check error the evaluation stops early, all worker goroutines are joined,
 // and the error is returned with a nil extent.
 func EvalGFP(p *Program, snap *compile.Snapshot, workers int, check func() error) (*Extent, error) {
-	// The whole evaluation — seeding the support counts and then the
-	// fixpoint propagation — sweeps every object's edge lists repeatedly,
-	// so its working set is the full snapshot. Pin it once up front: under
-	// a memory budget smaller than the snapshot, per-access faulting here
-	// would thrash the spill files (pins deliberately overcommit the
-	// budget; a no-op on unbudgeted snapshots).
-	defer snap.PinShards()()
 	n := snap.NumObjects()
 	nT := len(p.Types)
 	member := make([]*bitset.Set, nT)
@@ -469,12 +462,6 @@ func propagateSharded(snap *compile.Snapshot, member []*bitset.Set, counts [][]i
 		t, li int
 		o     graph.ObjectID
 	}
-	// Pin every shard for the propagation: each round's frontier exchange
-	// touches arbitrary shards many times, and a memory budget smaller than
-	// the working set would otherwise thrash faults mid-phase. Pins
-	// deliberately overcommit the budget for the duration (a no-op on
-	// unbudgeted snapshots).
-	defer snap.PinShards()()
 	nC := snap.NumComplex()
 	pos := snap.Pos
 	nSh := snap.NumShards()

@@ -17,7 +17,7 @@ func TestGFPShardParallelMatchesSerial(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		db := randomDB(rng, 80+rng.Intn(240))
 		p := randomProgram(rng, 1+rng.Intn(5))
-		flat, err := compile.Compile(db, 1, 1, 0, nil)
+		flat, err := compile.Compile(db, 1, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -26,7 +26,7 @@ func TestGFPShardParallelMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, shards := range []int{2, 4} {
-			snap, err := compile.Compile(db, shards, 0, 0, nil)
+			snap, err := compile.Compile(db, shards, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -83,11 +83,6 @@ func EvalGFPSnapIncr(p *Program, snap *compile.Snapshot, parent *Extent, changed
 	if parent == nil {
 		return fallback()
 	}
-	// Liveness probes and lazy count materialization chase edges from the
-	// affected set across arbitrary shards, repeatedly; like the full
-	// evaluator, pin the snapshot resident for the duration rather than
-	// thrash a sub-snapshot memory budget (no-op when unbudgeted).
-	defer snap.PinShards()()
 	n := snap.NumObjects()
 	nT := len(p.Types)
 	nTOld := len(parent.Member)

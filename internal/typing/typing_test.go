@@ -13,7 +13,7 @@ import (
 // evalGFP compiles db and evaluates p's greatest fixpoint serially.
 func evalGFP(t testing.TB, p *Program, db *graph.DB) *Extent {
 	t.Helper()
-	snap, err := compile.Compile(db, 0, 1, 0, nil)
+	snap, err := compile.Compile(db, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

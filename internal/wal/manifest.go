@@ -27,8 +27,8 @@ type Manifest struct {
 	// names the compiled snapshot's core blob (label universe, global
 	// tables, histograms) and Shards one file per CSR shard, in shard order,
 	// all relative to the session directory. Recovery can then rebuild the
-	// compiled snapshot without recompiling, loading shards lazily as
-	// requests touch them. Absent (a manifest written before shard-granular
+	// compiled snapshot without recompiling, reading and checking every
+	// shard file once. Absent (a manifest written before shard-granular
 	// spills, or after a codec version bump), recovery recompiles from
 	// Snapshot — the fields are an optimization, never a correctness
 	// requirement.

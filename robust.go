@@ -157,13 +157,12 @@ type Prepared struct {
 }
 
 // PrepareOptions compiles g into a reusable extraction context, with
-// cooperative cancellation, honoring the preparation-relevant options:
-// Parallelism (compile workers) and MemBudget (resident-shard bytes;
-// snapshots derived through ApplyContext inherit the budget). Both are
-// resource knobs only — extraction results are bit-identical at any setting.
+// cooperative cancellation, honoring the one preparation-relevant option:
+// Parallelism (compile workers), a resource knob only — extraction results
+// are bit-identical at any setting.
 func PrepareOptions(ctx context.Context, g *Graph, opts Options) (p *Prepared, err error) {
 	defer recoverInternal(&err)
-	cp, err := core.Prepare(ctx, g.db, opts.Parallelism, 0, opts.MemBudget)
+	cp, err := core.Prepare(ctx, g.db, opts.Parallelism, 0)
 	if err != nil {
 		return nil, err
 	}

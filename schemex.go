@@ -195,14 +195,6 @@ type Options struct {
 	// type counts and wall-clock time; the loader-side caps apply to the
 	// *Limits loader functions). Violations surface as *LimitError.
 	Limits Limits
-	// MemBudget bounds the bytes of compiled shard data held resident in
-	// memory at once: shards past the budget spill to disk through a
-	// checksummed per-shard codec and fault back in on access (LRU, shared
-	// across a session's whole Apply lineage). 0 (the default) keeps
-	// snapshots fully resident. Results are bit-identical at any budget, so
-	// this is purely a resource knob; phases that pin their working set (the
-	// typing fixpoint's shard-parallel rounds) may transiently overcommit.
-	MemBudget int64
 }
 
 func (o Options) toCore() (core.Options, error) {
@@ -214,7 +206,6 @@ func (o Options) toCore() (core.Options, error) {
 		ValueLabels: o.ValueLabels,
 		Parallelism: o.Parallelism,
 		Limits:      o.Limits.pipeline(),
-		MemBudget:   o.MemBudget,
 	}
 	if o.Delta != "" {
 		d, ok := cluster.DeltaByName(o.Delta)
@@ -485,7 +476,7 @@ func Check(ctx context.Context, g *Graph, schema string) (report *CheckReport, e
 	if err != nil {
 		return nil, err
 	}
-	snap, err := compile.Compile(g.db, 0, 1, 0, ctx.Err)
+	snap, err := compile.Compile(g.db, 0, 1, ctx.Err)
 	if err != nil {
 		return nil, err
 	}

@@ -205,43 +205,29 @@ func (p *Prepared) IncrStats() IncrStats {
 // shard CSR blocks — label universe, global tables, degree histograms, shard
 // geometry — in a versioned checksummed format. Together with one
 // EncodeShard blob per shard it is a complete shard-granular spill of the
-// snapshot; PrepareSpilled reads it back, loading shards lazily.
+// snapshot; PrepareSpilled reads it back.
 func (p *Prepared) EncodeSnapshotCore() []byte { return p.prep.EncodeSnapshotCore() }
 
 // EncodeShard serializes shard si of the session's compiled snapshot in the
-// versioned checksummed shard format (faulting it in if it is spilled).
+// versioned checksummed shard format.
 func (p *Prepared) EncodeShard(si int) []byte { return p.prep.EncodeShard(si) }
 
 // PrepareSpilled reconstructs a session from a shard-granular spill: the
 // EncodeSnapshotCore blob and one file per shard holding that shard's
-// EncodeShard bytes, in shard order. Shard files are not read here — each
-// faults in, checksum-verified, on first access — so rehydration costs the
-// core blob plus only the shards the next request touches. g must hold the
-// same graph the spilled snapshot was compiled from; opts contributes
-// MemBudget (corrupt or missing shard files surface as *InternalError at
-// access time, or as an immediate error here for a malformed core).
+// EncodeShard bytes, in shard order. Every shard file is read and checked
+// against the core before PrepareSpilled returns, so a missing, damaged or
+// mismatched file is an error here and the session it returns reads no file
+// again. g must hold the same graph the spilled snapshot was compiled from;
+// no field of opts applies.
 func PrepareSpilled(ctx context.Context, g *Graph, snapCore []byte, shardFiles []string, opts Options) (p *Prepared, err error) {
 	defer recoverInternal(&err)
-	cp, err := core.PrepareSpilled(ctx, g.db, snapCore, shardFiles, opts.MemBudget)
+	cp, err := core.PrepareSpilled(ctx, g.db, snapCore, shardFiles)
 	if err != nil {
 		return nil, err
 	}
 	return &Prepared{g: g, prep: cp}, nil
 }
 
-// ResidencyStats is a point-in-time snapshot of the process-wide shard
-// residency counters: shards faulted in from spill files, shards evicted to
-// meet a memory budget, and pin acquisitions by phases that hold their
-// working set resident.
-type ResidencyStats struct {
-	ShardFaults    uint64
-	ShardEvictions uint64
-	ShardPins      uint64
-}
-
-// ReadResidencyStats reports the process-wide shard residency counters,
-// aggregated over every memory-budgeted snapshot lineage in the process.
-func ReadResidencyStats() ResidencyStats {
-	s := compile.ResidencyStats()
-	return ResidencyStats{ShardFaults: s.Faults, ShardEvictions: s.Evictions, ShardPins: s.Pins}
-}
+// ShardsLoaded reports how many shard files PrepareSpilled has read and
+// accepted in this process.
+func ShardsLoaded() uint64 { return compile.ShardsLoaded() }
