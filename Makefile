@@ -45,8 +45,8 @@ experiments:
 examples:
 	@for d in examples/*/; do echo "=== $$d ==="; $(GO) run ./$$d || exit 1; done
 
-# Fuzzing pass over every parser and spill-blob decoder (longer runs: raise
-# FUZZTIME).
+# Fuzzing pass over every parser and spill-blob decoder, plus the
+# differential fixpoint fuzzer (longer runs: raise FUZZTIME).
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -fuzz='^FuzzParseOEM$$' -fuzztime $(FUZZTIME) ./internal/graph/
@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzParseDelta$$' -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -fuzz='^FuzzCoalesce$$' -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/typing/
+	$(GO) test -fuzz='^FuzzEvalGFP$$' -fuzztime $(FUZZTIME) ./internal/typing/
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/datalog/
 	$(GO) test -fuzz='^FuzzParsePath$$' -fuzztime $(FUZZTIME) ./internal/query/
 	$(GO) test -fuzz='^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/wal/

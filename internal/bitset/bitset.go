@@ -160,6 +160,40 @@ func (s *Set) AndNot(t *Set) {
 	}
 }
 
+// And sets s to s ∩ t, in place. Sets must have equal capacity.
+func (s *Set) And(t *Set) {
+	for i, w := range t.words {
+		s.words[i] &= w
+	}
+}
+
+// Rank is a rank directory over a frozen copy of a set: Of(i) is the number
+// of set bits below i, in O(1). It lets a dense array index the members of a
+// sparse set by their rank.
+type Rank struct {
+	words  []uint64
+	before []int32 // set bits in words [0, w)
+}
+
+// Rank returns a rank directory over s's current bits; later changes to s
+// do not affect it.
+func (s *Set) Rank() *Rank {
+	r := &Rank{words: make([]uint64, len(s.words)), before: make([]int32, len(s.words))}
+	copy(r.words, s.words)
+	c := 0
+	for i, w := range r.words {
+		r.before[i] = int32(c)
+		c += bits.OnesCount64(w)
+	}
+	return r
+}
+
+// Of returns the number of set bits below i in the frozen set.
+func (r *Rank) Of(i int) int {
+	w := i >> 6
+	return int(r.before[w]) + bits.OnesCount64(r.words[w]&(1<<(uint(i)&63)-1))
+}
+
 // Reset clears every bit.
 func (s *Set) Reset() {
 	for i := range s.words {

@@ -13,8 +13,7 @@ import (
 type ApplyInfo struct {
 	// Touched lists, in ascending ID order, every object whose incident edge
 	// set or atomic value the delta changed, including all objects it
-	// created. Only these objects' CSR rows and histogram rows differ from
-	// the parent's.
+	// created. Only these objects' CSR rows differ from the parent's.
 	Touched []graph.ObjectID
 	// NewObjects is how many objects the delta created; their IDs are the
 	// top NewObjects of the new snapshot's ID space.
@@ -35,18 +34,17 @@ type ApplyInfo struct {
 // structure with snap wherever the delta permits.
 //
 // The fast path rebuilds only the shards the delta touches: the label table
-// and its intern map are aliased outright, untouched histogram chunks are
-// aliased from the parent (only chunks holding a touched row are
-// re-accumulated), and — the shard payoff — every shard holding no touched
-// object keeps its parent's CSR block wholesale, so a delta confined to one
-// shard rebuilds one shard and leaves the rest untouched no matter how
-// large the graph is. Within a rebuilt shard, contiguous runs of untouched
-// objects are block-copied in one memmove per run and only touched objects
-// are re-scanned edge by edge. The atomic/position/sort tables are aliased
-// when the delta creates no objects (extend-copied otherwise). Object IDs
-// are dense and append-only, so pre-existing complex positions are stable
-// and everything positional in the parent remains meaningful against the
-// child.
+// and its intern map are aliased outright, and — the shard payoff — every
+// shard holding no touched object keeps its parent's CSR block wholesale, so
+// a delta confined to one shard rebuilds one shard and leaves the rest
+// untouched no matter how large the graph is. Within a rebuilt shard,
+// contiguous runs of untouched objects are block-copied in one memmove per
+// run and only touched objects are re-scanned edge by edge. The atomic and
+// position tables are aliased when the delta creates no objects
+// (extend-copied otherwise); a changed atomic value needs no table update,
+// since values are read from the database. Object IDs are dense and
+// append-only, so pre-existing complex positions are stable and everything
+// positional in the parent remains meaningful against the child.
 //
 // Two delta shapes invalidate parent structure wholesale and fall back to a
 // full Compile of the mutated database (Shared=false in the returned info):
@@ -131,7 +129,7 @@ func labelUniverseChanged(snap *Snapshot, eff *graph.DeltaEffect) bool {
 // applyIncremental compiles child against its parent snapshot. Preconditions
 // established by Apply: the label universe is unchanged and no existing
 // object flipped atomic↔complex, so parent label IDs, complex positions, and
-// every untouched object's CSR and histogram rows remain valid verbatim.
+// every untouched object's CSR rows remain valid verbatim.
 //
 // The child inherits the parent's shard geometry. A shard holding no
 // touched object is aliased from the parent outright (pointer-identical
@@ -152,24 +150,20 @@ func applyIncremental(parent *Snapshot, child *graph.DB, eff *graph.DeltaEffect,
 	}
 	if n == oldN {
 		// No objects created, and none flipped on this path: the atomic
-		// bitset, sort table, and the whole complex-position mapping are the
-		// parent's verbatim. Alias them.
+		// bitset and the whole complex-position mapping are the parent's
+		// verbatim. Alias them.
 		s.Atomic = parent.Atomic
 		s.Pos = parent.Pos
-		s.Sorts = parent.Sorts
 		s.Complex = parent.Complex
 	} else {
 		s.Atomic = parent.Atomic.Grown(n)
 		s.Pos = make([]int32, n)
-		s.Sorts = make([]uint8, n)
 		s.Complex = parent.Complex[:len(parent.Complex):len(parent.Complex)]
 		copy(s.Pos, parent.Pos)
-		copy(s.Sorts, parent.Sorts)
 		for i := oldN; i < n; i++ {
 			o := graph.ObjectID(i)
-			if v, ok := child.AtomicValue(o); ok {
+			if child.IsAtomic(o) {
 				s.Atomic.Set(i)
-				s.Sorts[i] = uint8(v.Sort)
 				s.Pos[i] = -1
 			} else {
 				s.Pos[i] = int32(len(s.Complex))
@@ -248,62 +242,6 @@ func applyIncremental(parent *Snapshot, child *graph.DB, eff *graph.DeltaEffect,
 	}
 	for _, sh := range s.shards {
 		s.nLinks += len(sh.OutTo)
-	}
-
-	// Histograms: alias every chunk whose rows are untouched; chunks holding
-	// a touched row — plus any chunk reaching past the parent's row count,
-	// whose parent backing is too short — are allocated fresh and
-	// re-accumulated from the child CSR built above. Re-deriving the
-	// untouched rows inside a dirty chunk is deterministic recounting, so
-	// the result is bit-identical to a scratch compile.
-	nC := len(s.Complex)
-	parentNC := len(parent.Complex)
-	nChunks := (nC + histChunkMask) >> histChunkShift
-	dirtyChunks := make([]bool, nChunks)
-	if nC > parentNC {
-		for c := parentNC >> histChunkShift; c < nChunks; c++ {
-			dirtyChunks[c] = true
-		}
-	}
-	for _, o := range eff.Touched {
-		if p := s.Pos[o]; p >= 0 {
-			dirtyChunks[int(p)>>histChunkShift] = true
-		}
-	}
-	s.OutComplex = deriveHist(parent.OutComplex, nC, dirtyChunks)
-	s.OutAtomic = deriveHist(parent.OutAtomic, nC, dirtyChunks)
-	s.InComplex = deriveHist(parent.InComplex, nC, dirtyChunks)
-	s.OutAtomicSort = deriveHist(parent.OutAtomicSort, nC, dirtyChunks)
-	for c, d := range dirtyChunks {
-		if !d {
-			continue
-		}
-		lo := c << histChunkShift
-		hi := lo + histChunkRows
-		if hi > nC {
-			hi = nC
-		}
-		for p := lo; p < hi; p++ {
-			o := graph.ObjectID(s.Complex[p])
-			outC := s.OutComplex.row(p)
-			outA := s.OutAtomic.row(p)
-			outAS := s.OutAtomicSort.row(p)
-			inC := s.InComplex.row(p)
-			to, labs := s.Out(o)
-			for k := range to {
-				lab := labs[k]
-				if t := int(to[k]); s.Atomic.Test(t) {
-					outA[lab]++
-					outAS[int(lab)*NumSorts+int(s.Sorts[t])]++
-				} else {
-					outC[lab]++
-				}
-			}
-			_, inLabs := s.In(o)
-			for _, lab := range inLabs {
-				inC[lab]++
-			}
-		}
 	}
 	return s, nil
 }

@@ -33,22 +33,17 @@ func buildDB(t *testing.T) *graph.DB {
 // flatView flattens a snapshot's sharded CSR back into the global-array
 // form, so snapshots compare field-by-field regardless of shard layout.
 type flatView struct {
-	Labels                           []string
-	OutTo, OutLab, InFrom, InLab     []int32
-	AtomicBits                       string
-	Complex                          []graph.ObjectID
-	Pos                              []int32
-	Sorts                            []uint8
-	OutComplex, OutAtomic, InComplex Hist
-	OutAtomicSort                    Hist
+	Labels                       []string
+	OutTo, OutLab, InFrom, InLab []int32
+	AtomicBits                   string
+	Complex                      []graph.ObjectID
+	Pos                          []int32
 }
 
 func flatten(s *Snapshot) flatView {
 	v := flatView{
 		Labels: s.Labels, AtomicBits: fmt.Sprint(s.Atomic),
-		Complex: s.Complex, Pos: s.Pos, Sorts: s.Sorts,
-		OutComplex: s.OutComplex, OutAtomic: s.OutAtomic,
-		InComplex: s.InComplex, OutAtomicSort: s.OutAtomicSort,
+		Complex: s.Complex, Pos: s.Pos,
 	}
 	for i := 0; i < s.NumObjects(); i++ {
 		to, lab := s.Out(graph.ObjectID(i))

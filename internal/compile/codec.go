@@ -1,11 +1,10 @@
 // Shard and snapshot-core codecs: versioned, checksummed binary
 // serialization of one Shard (the unit a durable session spills) and of a
-// snapshot's shard-independent core (label universe, global position/sort
-// tables, degree histograms, shard geometry). A shard file is
-// self-contained — it carries the shard's slice of the global tables as
-// owned arrays, so decoding never needs the snapshot it came from — which is
-// what lets LoadSnapshot check every shard against the core before trusting
-// it.
+// snapshot's shard-independent core (label universe, global position table,
+// shard geometry). A shard file is self-contained — it carries the shard's
+// slice of the global tables as owned arrays, so decoding never needs the
+// snapshot it came from — which is what lets LoadSnapshot check every shard
+// against the core before trusting it.
 //
 // Both formats are little-endian with an 8-byte version magic followed by a
 // CRC-32C (Castagnoli) of the payload, like the write-ahead log's frames: a
@@ -29,8 +28,8 @@ import (
 // shardMagic / coreMagic version the two on-disk formats; bump the trailing
 // digits on any layout change so stale files are refused, not misread.
 const (
-	shardMagic = "SXSHRD01"
-	coreMagic  = "SXCORE01"
+	shardMagic = "SXSHRD02"
+	coreMagic  = "SXCORE02"
 )
 
 // codecHeaderLen is the fixed prefix of both formats: magic plus payload
@@ -164,8 +163,7 @@ func unseal(format, magic string, data []byte) ([]byte, error) {
 func EncodeShard(sh *Shard) []byte {
 	size := 6*4 + // base, n, posBase, posN, nOut, nIn
 		4*(len(sh.OutOff)+len(sh.InOff)+len(sh.OutTo)+len(sh.OutLab)+
-			len(sh.InFrom)+len(sh.InLab)+len(sh.Pos)+len(sh.Complex)) +
-		len(sh.Sorts)
+			len(sh.InFrom)+len(sh.InLab)+len(sh.Pos)+len(sh.Complex))
 	e := enc{b: make([]byte, 0, size)}
 	e.u32(uint32(sh.Base))
 	e.u32(uint32(sh.N))
@@ -180,7 +178,6 @@ func EncodeShard(sh *Shard) []byte {
 	e.i32s(sh.InFrom)
 	e.i32s(sh.InLab)
 	e.i32s(sh.Pos)
-	e.bytes(sh.Sorts)
 	e.i32s(complexToInt32(sh.Complex))
 	return seal(shardMagic, e.b)
 }
@@ -204,7 +201,7 @@ func DecodeShard(data []byte) (*Shard, error) {
 	nOut := d.count(0)
 	nIn := d.count(0)
 	// Exact-size check: the six counts fully determine the payload length.
-	want := 6*4 + 4*(2*(sh.N+1)+2*nOut+2*nIn+sh.N+sh.PosN) + sh.N
+	want := 6*4 + 4*(2*(sh.N+1)+2*nOut+2*nIn+sh.N+sh.PosN)
 	if d.err || want != len(payload) {
 		return nil, &CodecError{"shard", "length fields inconsistent with payload size"}
 	}
@@ -215,7 +212,6 @@ func DecodeShard(data []byte) (*Shard, error) {
 	sh.InFrom = d.i32s(nIn)
 	sh.InLab = d.i32s(nIn)
 	sh.Pos = d.i32s(sh.N)
-	sh.Sorts = d.bytes(sh.N)
 	sh.Complex = int32ToComplex(d.i32s(sh.PosN))
 	if d.err || int(sh.OutOff[sh.N]) != nOut || int(sh.InOff[sh.N]) != nIn {
 		return nil, &CodecError{"shard", "offset totals inconsistent with edge counts"}
@@ -240,12 +236,13 @@ func int32ToComplex(v []int32) []graph.ObjectID {
 }
 
 // EncodeCore serializes everything of the snapshot except the shard CSR
-// blocks: the label universe, the global position/sort tables, the degree
-// histograms, the shard geometry, and per-shard metadata (position range and
-// edge counts) that LoadSnapshot checks every shard file against. The
-// atomic bitset and the Complex table are not written — both are pure
-// functions of Pos (Pos[o] == -1 exactly for atomic objects, and Complex
-// lists the rest in ID order), so LoadSnapshot rebuilds them bit-identically.
+// blocks: the label universe, the global position table, the shard
+// geometry, and per-shard metadata (position range and edge counts) that
+// LoadSnapshot checks every shard file against, so its size is O(objects +
+// labels + shards). The atomic bitset and the Complex table are not written
+// — both are pure functions of Pos (Pos[o] == -1 exactly for atomic objects,
+// and Complex lists the rest in ID order), so LoadSnapshot rebuilds them
+// bit-identically.
 func (s *Snapshot) EncodeCore() []byte {
 	e := enc{}
 	e.u32(uint32(s.shardShift))
@@ -257,7 +254,6 @@ func (s *Snapshot) EncodeCore() []byte {
 		e.bytes([]byte(l))
 	}
 	e.i32s(s.Pos)
-	e.bytes(s.Sorts)
 	e.u32(uint32(len(s.shards)))
 	for _, sh := range s.shards {
 		e.u32(uint32(sh.PosBase))
@@ -265,41 +261,7 @@ func (s *Snapshot) EncodeCore() []byte {
 		e.u32(uint32(len(sh.OutTo)))
 		e.u32(uint32(len(sh.InFrom)))
 	}
-	encodeHist(&e, s.OutComplex)
-	encodeHist(&e, s.OutAtomic)
-	encodeHist(&e, s.InComplex)
-	encodeHist(&e, s.OutAtomicSort)
 	return seal(coreMagic, e.b)
-}
-
-func encodeHist(e *enc, h Hist) {
-	e.u32(uint32(h.nRows))
-	e.u32(uint32(h.rowLen))
-	for _, c := range h.chunks {
-		e.i32s(c)
-	}
-}
-
-// decodeHist reads one histogram. maxRows bounds nRows before makeHist runs:
-// when rowLen > 0 the remaining payload bounds nRows anyway, but a rowLen of
-// zero carries no payload bytes per row, and without the cap a crafted nRows
-// could still force a giant chunk-header allocation.
-func decodeHist(d *dec, maxRows int) Hist {
-	nRows := d.count(0)
-	rowLen := d.count(0)
-	if d.err || nRows > maxRows || (rowLen > 0 && nRows > (len(d.b)-d.off)/(4*rowLen)) {
-		d.err = true
-		return Hist{}
-	}
-	h := makeHist(nRows, rowLen)
-	for _, c := range h.chunks {
-		v := d.i32s(len(c))
-		if d.err {
-			return Hist{}
-		}
-		copy(c, v)
-	}
-	return h
 }
 
 // shardLoads counts the shard files LoadSnapshot has read and accepted,
@@ -342,9 +304,9 @@ func LoadSnapshot(db *graph.DB, core []byte, shardFiles []string) (*Snapshot, er
 	// Counts that size allocations use positive per-element minima so a
 	// corrupt length (valid CRC, untrusted source) fails as a CodecError
 	// instead of attempting a multi-gigabyte make: every object costs at
-	// least 5 payload bytes (4 of Pos + 1 of Sorts), every label at least
-	// its 4-byte length field.
-	n := d.count(5)
+	// least its 4 payload bytes of Pos, every label at least its 4-byte
+	// length field.
+	n := d.count(4)
 	nLab := d.count(4)
 	if d.err {
 		return nil, &CodecError{"core", "truncated header"}
@@ -357,7 +319,6 @@ func LoadSnapshot(db *graph.DB, core []byte, shardFiles []string) (*Snapshot, er
 		s.Labels[i] = string(d.bytes(d.count(1)))
 	}
 	s.Pos = d.i32s(n)
-	s.Sorts = d.bytes(n)
 	nSh := d.count(16) // each shard carries 16 bytes of meta below
 	if d.err || s.shardShift < minShardShift || s.shardShift > maxShardShift || nSh != numShards(n, s.shardShift) {
 		return nil, &CodecError{"core", "shard count inconsistent with object count"}
@@ -372,10 +333,6 @@ func LoadSnapshot(db *graph.DB, core []byte, shardFiles []string) (*Snapshot, er
 			nOut: int(d.count(0)), nIn: int(d.count(0)),
 		}
 	}
-	s.OutComplex = decodeHist(&d, n)
-	s.OutAtomic = decodeHist(&d, n)
-	s.InComplex = decodeHist(&d, n)
-	s.OutAtomicSort = decodeHist(&d, n)
 	if d.err || d.off != len(payload) {
 		return nil, &CodecError{"core", "length fields inconsistent with payload size"}
 	}
@@ -389,16 +346,13 @@ func LoadSnapshot(db *graph.DB, core []byte, shardFiles []string) (*Snapshot, er
 				return nil, &CodecError{"core", "position table is not dense in ID order"}
 			}
 			s.Complex = append(s.Complex, graph.ObjectID(i))
-		case p != -1 || s.Sorts[i] >= NumSorts:
-			return nil, &CodecError{"core", fmt.Sprintf("atomic object %d has position %d and sort %d", i, p, s.Sorts[i])}
+		case p != -1:
+			return nil, &CodecError{"core", fmt.Sprintf("object %d has position %d", i, p)}
 		}
 	}
 	s.labelID = make(map[string]int, len(s.Labels))
 	for i, l := range s.Labels {
 		s.labelID[l] = i
-	}
-	if len(s.Complex) != s.OutComplex.nRows {
-		return nil, &CodecError{"core", "histogram row count inconsistent with complex objects"}
 	}
 	// The shard records must chain the position ranges Pos implies, and
 	// their edge counts must sum to the link count.
@@ -443,7 +397,7 @@ func LoadSnapshot(db *graph.DB, core []byte, shardFiles []string) (*Snapshot, er
 
 // checkShard verifies decoded shard si against the loaded core before it is
 // trusted: its geometry (Base, N, position range, edge counts) must equal the
-// core's, its Pos/Sorts/Complex must equal the core's tables over its
+// core's, its Pos/Complex must equal the core's tables over its
 // ranges, its offsets must ascend from zero, and every edge must name an
 // in-range object and label. Any mismatch is a *CodecError.
 func (s *Snapshot) checkShard(sh *Shard, si int, m shardMeta) error {
@@ -456,7 +410,7 @@ func (s *Snapshot) checkShard(sh *Shard, si int, m shardMeta) error {
 		len(sh.OutTo) != m.nOut || len(sh.InFrom) != m.nIn {
 		return bad("geometry differs from the core")
 	}
-	if !slices.Equal(sh.Pos, s.Pos[base:base+n]) || !slices.Equal(sh.Sorts, s.Sorts[base:base+n]) ||
+	if !slices.Equal(sh.Pos, s.Pos[base:base+n]) ||
 		!slices.Equal(sh.Complex, s.Complex[m.posBase:m.posBase+m.posN]) {
 		return bad("tables differ from the core")
 	}

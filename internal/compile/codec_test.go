@@ -153,44 +153,6 @@ func TestCoreCodecRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestCoreCodecRejectsBadSort: a validly sealed core and shard whose sort
-// tables agree on giving an atomic object a sort outside [0, NumSorts) are
-// refused, not handed to the histogram code that indexes by sort.
-func TestCoreCodecRejectsBadSort(t *testing.T) {
-	db, _ := dbg.Generate(dbg.Options{})
-	s, err := Compile(db, 1, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	atom := -1
-	for i, p := range s.Pos {
-		if p < 0 {
-			atom = i
-			break
-		}
-	}
-	if atom < 0 {
-		t.Fatal("fixture has no atomic object")
-	}
-	// The payload is shift, link count, object count, label count, the
-	// length-prefixed labels, Pos (4 bytes per object), then Sorts.
-	payload := append([]byte(nil), s.EncodeCore()[codecHeaderLen:]...)
-	off := 4 + 8 + 4 + 4 + 4*s.NumObjects() + atom
-	for _, l := range s.Labels {
-		off += 4 + len(l)
-	}
-	payload[off] = NumSorts
-	sh := *s.Shard(0)
-	sh.Sorts = append([]uint8(nil), sh.Sorts...)
-	sh.Sorts[atom] = NumSorts
-	file := filepath.Join(t.TempDir(), "shard-0.shard")
-	if err := os.WriteFile(file, EncodeShard(&sh), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = LoadSnapshot(db, seal(coreMagic, payload), []string{file})
-	requireCodecError(t, err)
-}
-
 // TestLoadSnapshotRejectsBadShardFiles: LoadSnapshot reads and checks every
 // shard file, so a missing file, a truncated one, and a validly sealed copy
 // of another shard's file are all refused at load time — the last two as

@@ -2,16 +2,17 @@
 // Snapshot that every extraction stage shares: CSR-style adjacency (flat
 // []int32 edge arrays with per-object offsets, partitioned into fixed-range
 // object shards), edge labels interned into a dense label universe, atomic
-// objects as a bitset, dense positions for complex objects, and the
-// per-(object, label) degree histograms that seed the greatest-fixpoint
-// support counts.
+// objects as a bitset, and dense positions for complex objects. A snapshot
+// costs O(objects + links + labels): it holds nothing per (object, label).
 //
 // The paper's three-stage method (minimal perfect typing → greedy
 // clustering → recast, §4–§6) runs many passes over the same link/atomic
 // instance. Compiling the instance once and handing the same Snapshot to
-// every pass removes the per-stage rebuild of label maps, position tables,
-// and degree histograms, and replaces string comparisons on the hot paths
-// with int32 label-ID comparisons.
+// every pass removes the per-stage rebuild of label maps and position
+// tables, and replaces string comparisons on the hot paths with int32
+// label-ID comparisons. Each object's CSR rows are sorted by (label ID,
+// neighbour), so a stage reads the edges of one label at an object as one
+// run (OutRun, InRun).
 //
 // A Snapshot is immutable after Compile returns: concurrent readers need no
 // synchronization, and a single Snapshot can back any number of concurrent
@@ -29,89 +30,6 @@ import (
 // NumSorts is the number of atomic value sorts (graph.SortString..SortBool).
 const NumSorts = 4
 
-// Histogram rows are grouped into fixed-size chunks of complex positions so
-// Apply can alias the untouched chunks of the parent snapshot and rebuild
-// only the chunks a delta dirtied. 64 rows keeps a chunk around a few KB for
-// realistic label universes — big enough that chunk bookkeeping is noise,
-// small enough that a single-edge delta rebuilds a sliver of the matrix.
-const (
-	histChunkShift = 6
-	histChunkRows  = 1 << histChunkShift
-	histChunkMask  = histChunkRows - 1
-)
-
-// Hist is a (complex position × column) count matrix stored as fixed-size
-// row chunks: chunk c holds rows [c*64, (c+1)*64). Chunks are immutable
-// after compilation, so a delta-derived snapshot shares every chunk the
-// delta did not touch with its parent and allocates only the dirty ones.
-type Hist struct {
-	rowLen int
-	nRows  int
-	chunks [][]int32
-}
-
-// makeHist allocates a zeroed nRows×rowLen matrix. All chunks slice one
-// backing array; each is capped to its own range so it can never grow into
-// a neighbour.
-func makeHist(nRows, rowLen int) Hist {
-	h := Hist{rowLen: rowLen, nRows: nRows}
-	if nRows == 0 {
-		return h
-	}
-	nChunks := (nRows + histChunkMask) >> histChunkShift
-	h.chunks = make([][]int32, nChunks)
-	backing := make([]int32, nRows*rowLen)
-	for c := range h.chunks {
-		lo := c << histChunkShift
-		hi := lo + histChunkRows
-		if hi > nRows {
-			hi = nRows
-		}
-		h.chunks[c] = backing[lo*rowLen : hi*rowLen : hi*rowLen]
-	}
-	return h
-}
-
-// deriveHist builds an nRows-row matrix over the same row length as parent,
-// aliasing parent's chunk for every index where dirty is false and
-// allocating a zeroed chunk (to be re-accumulated by the caller) where it is
-// true. The caller must mark as dirty every chunk whose row range is not
-// bit-identical in the parent — touched rows, and any chunk extending past
-// the parent's last full row.
-func deriveHist(parent Hist, nRows int, dirty []bool) Hist {
-	h := Hist{rowLen: parent.rowLen, nRows: nRows}
-	if nRows == 0 {
-		return h
-	}
-	h.chunks = make([][]int32, len(dirty))
-	for c := range dirty {
-		if !dirty[c] {
-			h.chunks[c] = parent.chunks[c]
-			continue
-		}
-		lo := c << histChunkShift
-		hi := lo + histChunkRows
-		if hi > nRows {
-			hi = nRows
-		}
-		h.chunks[c] = make([]int32, (hi-lo)*h.rowLen)
-	}
-	return h
-}
-
-// At returns the count at (row, col). Columns are label IDs for the plain
-// degree histograms and labelID*NumSorts+sort for the sort-split one.
-func (h *Hist) At(row, col int) int32 {
-	return h.chunks[row>>histChunkShift][(row&histChunkMask)*h.rowLen+col]
-}
-
-// row returns the mutable backing slice of one row, for accumulation during
-// compilation. Never call it on a chunk shared with a parent snapshot.
-func (h *Hist) row(r int) []int32 {
-	off := (r & histChunkMask) * h.rowLen
-	return h.chunks[r>>histChunkShift][off : off+h.rowLen]
-}
-
 // Snapshot is the compiled, immutable view of a graph.DB.
 //
 // Layout invariants:
@@ -124,11 +42,8 @@ func (h *Hist) row(r int) []int32 {
 //   - Pos maps an ObjectID to its dense complex position (or -1 for atomic
 //     objects); Complex is the inverse, in ObjectID order. Positions follow
 //     ID order, so every shard owns one contiguous position range.
-//   - The degree histograms are chunked (pos, column) matrices — see Hist —
-//     addressed At(pos, labelID) and counting o's ℓ-edges to complex
-//     targets, to atomic targets, and from complex sources; OutAtomicSort
-//     further splits the atomic counts by value sort, At(pos,
-//     labelID*NumSorts+sort).
+//   - Atomic values, and so their sorts, are read from the database
+//     (Value); the snapshot keeps no copy that a delta could leave stale.
 //
 // All exported fields are for the stage packages but must be treated as
 // read-only; mutating a Snapshot breaks every extraction sharing it.
@@ -146,15 +61,6 @@ type Snapshot struct {
 	// inverse (Pos[o] == -1 for atomic objects).
 	Complex []graph.ObjectID
 	Pos     []int32
-	// Sorts[o] is the value sort of atomic object o (meaningless for
-	// complex objects).
-	Sorts []uint8
-
-	// Degree histograms over (complex position, label ID); see the layout
-	// invariants above. They seed the GFP support counts, so the fixpoint
-	// evaluator never rebuilds them.
-	OutComplex, OutAtomic, InComplex Hist
-	OutAtomicSort                    Hist
 
 	labelID map[string]int
 
@@ -191,7 +97,6 @@ func compileShift(db *graph.DB, shift uint, workers int, check func() error) (*S
 		Labels:     db.Labels(),
 		Atomic:     bitset.New(n),
 		Pos:        make([]int32, n),
-		Sorts:      make([]uint8, n),
 		shardShift: shift,
 	}
 	s.labelID = make(map[string]int, len(s.Labels))
@@ -204,7 +109,7 @@ func compileShift(db *graph.DB, shift uint, workers int, check func() error) (*S
 		}
 	}
 
-	// Dense complex positions and the atomic bitset/sort table, recording
+	// Dense complex positions and the atomic bitset, recording
 	// the position watermark at every shard boundary: positions follow ID
 	// order, so shard si's complex objects are exactly positions
 	// [posBase[si], posBase[si+1]).
@@ -216,9 +121,8 @@ func compileShift(db *graph.DB, shift uint, workers int, check func() error) (*S
 			posBase[i>>shift] = len(s.Complex)
 		}
 		o := graph.ObjectID(i)
-		if v, ok := db.AtomicValue(o); ok {
+		if db.IsAtomic(o) {
 			s.Atomic.Set(i)
-			s.Sorts[i] = uint8(v.Sort)
 			s.Pos[i] = -1
 		} else {
 			s.Pos[i] = int32(len(s.Complex))
@@ -252,17 +156,10 @@ func compileShift(db *graph.DB, shift uint, workers int, check func() error) (*S
 		s.nLinks += len(sh.OutTo)
 	}
 
-	nC := len(s.Complex)
-	nL := len(s.Labels)
-	s.OutComplex = makeHist(nC, nL)
-	s.OutAtomic = makeHist(nC, nL)
-	s.InComplex = makeHist(nC, nL)
-	s.OutAtomicSort = makeHist(nC, nL*NumSorts)
-
 	// Fill, parallel over shard subranges: spans are sized by worker count
 	// and clipped at shard boundaries, so a single huge shard still fans
-	// out over every worker. Each object owns its CSR run and histogram
-	// row, so spans never race.
+	// out over every worker. Each object owns its CSR runs, so spans never
+	// race.
 	spans := s.fillSpans(workers)
 	if err := par.DoItemsErr(workers, len(spans), func(k int) error {
 		sp := spans[k]
@@ -300,9 +197,7 @@ func (s *Snapshot) fillSpans(workers int) []span {
 const checkEvery = 1024
 
 // fillRange scans the database rows of sh's local objects [lo, hi) into the
-// shard's CSR block and accumulates their histogram rows. Only Compile uses
-// it: Apply re-accumulates dirty histogram chunks separately, because a
-// rebuilt shard may still alias clean chunks of the parent's histograms.
+// shard's CSR block.
 func (s *Snapshot) fillRange(sh *Shard, lo, hi int, check func() error) error {
 	db := s.db
 	for i := lo; i < hi; i++ {
@@ -311,39 +206,18 @@ func (s *Snapshot) fillRange(sh *Shard, lo, hi int, check func() error) error {
 				return err
 			}
 		}
-		gi := sh.Base + i
-		o := graph.ObjectID(gi)
-		var outC, outA, outAS, inC []int32
-		if p := s.Pos[gi]; p >= 0 {
-			outC = s.OutComplex.row(int(p))
-			outA = s.OutAtomic.row(int(p))
-			outAS = s.OutAtomicSort.row(int(p))
-			inC = s.InComplex.row(int(p))
-		}
+		o := graph.ObjectID(sh.Base + i)
 		at := sh.OutOff[i]
 		for _, e := range db.Out(o) {
-			lab := int32(s.labelID[e.Label])
 			sh.OutTo[at] = int32(e.To)
-			sh.OutLab[at] = lab
+			sh.OutLab[at] = int32(s.labelID[e.Label])
 			at++
-			if outC != nil {
-				if s.Atomic.Test(int(e.To)) {
-					outA[lab]++
-					outAS[int(lab)*NumSorts+int(s.Sorts[e.To])]++
-				} else {
-					outC[lab]++
-				}
-			}
 		}
 		at = sh.InOff[i]
 		for _, e := range db.In(o) {
-			lab := int32(s.labelID[e.Label])
 			sh.InFrom[at] = int32(e.From)
-			sh.InLab[at] = lab
+			sh.InLab[at] = int32(s.labelID[e.Label])
 			at++
-			if inC != nil {
-				inC[lab]++
-			}
 		}
 	}
 	return nil
@@ -396,4 +270,38 @@ func (s *Snapshot) In(o graph.ObjectID) (from, lab []int32) {
 	i := int(o) - sh.Base
 	a, b := sh.InOff[i], sh.InOff[i+1]
 	return sh.InFrom[a:b], sh.InLab[a:b]
+}
+
+// OutRun returns the targets of o's outgoing edges labelled lab, in
+// ascending order: one run of the (label ID, target) sorted CSR row, found
+// by binary search. The slice aliases the snapshot.
+func (s *Snapshot) OutRun(o graph.ObjectID, lab int32) []int32 {
+	to, labs := s.Out(o)
+	return labelRun(to, labs, lab)
+}
+
+// InRun returns the sources of o's incoming edges labelled lab, in
+// ascending order; see OutRun.
+func (s *Snapshot) InRun(o graph.ObjectID, lab int32) []int32 {
+	from, labs := s.In(o)
+	return labelRun(from, labs, lab)
+}
+
+// labelRun returns the ends of the run of label lab in a CSR row sorted by
+// label ID.
+func labelRun(ends, labs []int32, lab int32) []int32 {
+	lo, hi := 0, len(labs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if labs[m] < lab {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	e := lo
+	for e < len(labs) && labs[e] == lab {
+		e++
+	}
+	return ends[lo:e]
 }

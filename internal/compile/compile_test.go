@@ -3,6 +3,7 @@ package compile
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"schemex/internal/dbg"
@@ -81,41 +82,38 @@ func TestSnapshotMirrorsDB(t *testing.T) {
 	}
 }
 
-func TestSnapshotHistograms(t *testing.T) {
+// TestLabelRuns checks OutRun and InRun against the database: for every
+// object and label, the run is exactly the neighbours of that object's
+// edges carrying the label, in ascending order, and empty for a label the
+// object does not use.
+func TestLabelRuns(t *testing.T) {
 	db, _ := dbg.Generate(dbg.Options{})
-	s := compileDB(t, db)
-	for pi, o := range s.Complex {
-		wantOutC := make(map[string]int32)
-		wantOutA := make(map[string]int32)
-		for _, e := range db.Out(o) {
-			if db.IsAtomic(e.To) {
-				wantOutA[e.Label]++
-			} else {
-				wantOutC[e.Label]++
-			}
+	for _, shards := range []int{1, 4} {
+		s, err := Compile(db, shards, 0, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		wantIn := make(map[string]int32)
-		for _, e := range db.In(o) {
-			wantIn[e.Label]++
-		}
-		for li, l := range s.Labels {
-			if got := s.OutComplex.At(pi, li); got != wantOutC[l] {
-				t.Fatalf("OutComplex[%v,%s] = %d, want %d", o, l, got, wantOutC[l])
+		db.Objects(func(o graph.ObjectID) {
+			for li, l := range s.Labels {
+				var wantOut, wantIn []int32
+				for _, e := range db.Out(o) {
+					if e.Label == l {
+						wantOut = append(wantOut, int32(e.To))
+					}
+				}
+				for _, e := range db.In(o) {
+					if e.Label == l {
+						wantIn = append(wantIn, int32(e.From))
+					}
+				}
+				if got := s.OutRun(o, int32(li)); !slices.Equal(got, wantOut) {
+					t.Fatalf("shards=%d OutRun(%v, %s) = %v, want %v", shards, o, l, got, wantOut)
+				}
+				if got := s.InRun(o, int32(li)); !slices.Equal(got, wantIn) {
+					t.Fatalf("shards=%d InRun(%v, %s) = %v, want %v", shards, o, l, got, wantIn)
+				}
 			}
-			if got := s.OutAtomic.At(pi, li); got != wantOutA[l] {
-				t.Fatalf("OutAtomic[%v,%s] = %d, want %d", o, l, got, wantOutA[l])
-			}
-			if got := s.InComplex.At(pi, li); got != wantIn[l] {
-				t.Fatalf("InComplex[%v,%s] = %d, want %d", o, l, got, wantIn[l])
-			}
-			var sortSum int32
-			for si := 0; si < NumSorts; si++ {
-				sortSum += s.OutAtomicSort.At(pi, li*NumSorts+si)
-			}
-			if sortSum != wantOutA[l] {
-				t.Fatalf("OutAtomicSort[%v,%s] sums to %d, want %d", o, l, sortSum, wantOutA[l])
-			}
-		}
+		})
 	}
 }
 

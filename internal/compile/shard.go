@@ -1,10 +1,9 @@
 // Sharded snapshot layout: objects are partitioned into fixed ranges of
-// 2^shardShift IDs, and each Shard owns the CSR block, position/sort/atomic
-// views, and complex-position range of its object range. The scheme
-// generalizes the chunked Hist pattern — immutable fixed-range blocks that a
-// delta-derived snapshot aliases wholesale when untouched — from histogram
-// rows to the entire snapshot, which is what makes compile, Apply, and the
-// GFP propagation shard-parallel.
+// 2^shardShift IDs, and each Shard owns the CSR block, position view, and
+// complex-position range of its object range. Shards are immutable
+// fixed-range blocks that a delta-derived snapshot aliases wholesale when
+// untouched, which is what makes compile, Apply, the GFP's witness bound and
+// its propagation shard-parallel.
 package compile
 
 import (
@@ -72,11 +71,11 @@ func numShards(n int, shift uint) int {
 // shards independently, and a durable spill writes one codec file per shard
 // (EncodeShard) that LoadSnapshot reads back and checks against the core.
 //
-// Pos, Sorts, and Complex are views into the snapshot's global tables
-// (Pos[Base:Base+N] etc.), not copies: the shard owns its slice of those
-// tables, while positional consumers (the GFP count matrices, Stage 2
-// signatures) keep the O(1) global indexing they were written against. A
-// loaded snapshot's shards alias its tables the same way.
+// Pos and Complex are views into the snapshot's global tables
+// (Pos[Base:Base+N] and Complex[PosBase:PosBase+PosN]), not copies: the
+// shard owns its slice of those tables, while positional consumers (Q_D
+// construction, the recast rows) keep the O(1) global indexing they were
+// written against. A loaded snapshot's shards alias its tables the same way.
 type Shard struct {
 	// Base is the first object ID of the shard's range; N the number of
 	// objects in it (only the last shard of a snapshot may be short).
@@ -95,14 +94,13 @@ type Shard struct {
 	OutTo, OutLab, InFrom, InLab []int32
 
 	// Views into the snapshot's global tables for this shard's ranges; see
-	// the type comment. Sorts[i] is meaningful only for atomic objects.
+	// the type comment.
 	Pos     []int32
-	Sorts   []uint8
 	Complex []graph.ObjectID
 }
 
 // newShard allocates the offset arrays and table views for shard si of s.
-// The snapshot's global Pos/Sorts/Complex tables must already be built.
+// The snapshot's global Pos/Complex tables must already be built.
 func newShard(s *Snapshot, si int, posLo, posHi int) *Shard {
 	size := 1 << s.shardShift
 	base := si * size
@@ -116,7 +114,6 @@ func newShard(s *Snapshot, si int, posLo, posHi int) *Shard {
 		OutOff: make([]int32, n+1),
 		InOff:  make([]int32, n+1),
 		Pos:    s.Pos[base : base+n : base+n],
-		Sorts:  s.Sorts[base : base+n : base+n],
 	}
 	sh.Complex = s.Complex[posLo:posHi:posHi]
 	return sh
@@ -137,12 +134,11 @@ func (sh *Shard) alloc() {
 // reslice returns a copy of the shard whose table views point into the given
 // snapshot's (equal-valued) global tables. Apply uses it when new objects
 // forced fresh global tables: the shard's CSR arrays — the bulk — stay
-// shared with the parent, only the three view headers are rebound.
+// shared with the parent, only the two view headers are rebound.
 // LoadSnapshot uses it to bind a decoded shard's views to the core's tables.
 func (sh *Shard) reslice(s *Snapshot) *Shard {
 	c := *sh
 	c.Pos = s.Pos[c.Base : c.Base+c.N : c.Base+c.N]
-	c.Sorts = s.Sorts[c.Base : c.Base+c.N : c.Base+c.N]
 	c.Complex = s.Complex[c.PosBase : c.PosBase+c.PosN : c.PosBase+c.PosN]
 	return &c
 }

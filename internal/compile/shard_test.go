@@ -60,7 +60,7 @@ func TestShardedCompileMatchesFlat(t *testing.T) {
 // checkShardInvariants verifies the layout every consumer of the sharded
 // snapshot relies on: shards tile the ID space, complex-position ranges
 // chain, per-shard degrees sum to the shard's edge arrays, and the
-// Pos/Sorts/Complex views alias the snapshot's global tables.
+// Pos/Complex views alias the snapshot's global tables.
 func checkShardInvariants(t *testing.T, s *Snapshot) {
 	t.Helper()
 	base, posBase := 0, 0
@@ -90,8 +90,8 @@ func checkShardInvariants(t *testing.T, s *Snapshot) {
 		if sh.PosN != nComplex {
 			t.Fatalf("shard %d: PosN = %d, want %d", si, sh.PosN, nComplex)
 		}
-		if sh.N > 0 && (&sh.Pos[0] != &s.Pos[sh.Base] || &sh.Sorts[0] != &s.Sorts[sh.Base]) {
-			t.Fatalf("shard %d: Pos/Sorts view is a copy, not an alias", si)
+		if sh.N > 0 && &sh.Pos[0] != &s.Pos[sh.Base] {
+			t.Fatalf("shard %d: Pos view is a copy, not an alias", si)
 		}
 		if sh.PosN > 0 && &sh.Complex[0] != &s.Complex[sh.PosBase] {
 			t.Fatalf("shard %d: Complex view is a copy, not an alias", si)

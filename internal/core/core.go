@@ -491,7 +491,7 @@ func PrepareSpilled(ctx context.Context, db *graph.DB, core []byte, shardFiles [
 }
 
 // EncodeSnapshotCore serializes the prepared snapshot's shard-independent
-// core (label universe, position/sort tables, histograms, shard geometry)
+// core (label universe, position table, shard geometry)
 // for a shard-granular spill; pair with EncodeShard.
 func (p *Prepared) EncodeSnapshotCore() []byte { return p.snap.EncodeCore() }
 
@@ -532,7 +532,7 @@ func (p *Prepared) SetBaseVersion(v uint64) { p.version = v }
 // Apply produces a new Prepared for the database obtained by applying delta
 // to p's database. Neither p, its database, nor any result extracted from it
 // is affected: the child shares untouched structure with the parent (graph
-// edge slices, snapshot CSR spans, histogram rows) and carries the parent's
+// edge slices, snapshot CSR shards) and carries the parent's
 // Stage 1 fixpoint as a warm start, so extracting from the child after a
 // small delta costs work proportional to the delta's neighborhood, not the
 // database. Results are bit-identical to preparing the mutated database from

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -359,6 +360,67 @@ func d2() *graph.Delta {
 	d := &graph.Delta{}
 	addRecord(d, "empB", "name", "salary", "dept")
 	return d
+}
+
+// TestWarmExtractSortChange: a delta that removes atomic values and re-adds
+// them under the same names with another sort creates no object and flips
+// nothing, yet under UseSorts it moves their owners to another class. An
+// extraction from the applied child equals a cold extraction of the child
+// graph written out and read back, whether or not the parent had extracted
+// (warm or cold Stage 1).
+func TestWarmExtractSortChange(t *testing.T) {
+	db := graph.New()
+	for i := 0; i < 4; i++ {
+		m := fmt.Sprintf("m%d", i)
+		db.Link("root", m, "member")
+		if err := db.SetAtomic(db.Intern(m+".age"), graph.Value{Sort: graph.SortInt, Text: fmt.Sprint(30 + i)}); err != nil {
+			t.Fatal(err)
+		}
+		db.Link(m, m+".age", "age")
+	}
+	d := &graph.Delta{}
+	for i := 1; i < 4; i++ {
+		m := fmt.Sprintf("m%d", i)
+		d.RemoveObject(m + ".age")
+		d.AddAtomic(m+".age", graph.Value{Sort: graph.SortString, Text: fmt.Sprintf("thirty-%d", i)})
+		d.AddLink(m, m+".age", "age")
+	}
+	opts := Options{K: 2, Parallelism: 1, UseSorts: true}
+	for _, warmParent := range []bool{true, false} {
+		prep, err := Prepare(context.Background(), db.Clone(), 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warmParent {
+			if _, err := ExtractPrepared(context.Background(), prep, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		child, info, err := prep.Apply(context.Background(), d, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !info.Shared || info.NewObjects != 0 {
+			t.Fatalf("warmParent=%v: apply info %+v, want a shared apply creating nothing", warmParent, info)
+		}
+		got, err := ExtractPrepared(context.Background(), child, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var text bytes.Buffer
+		if err := child.DB().Write(&text); err != nil {
+			t.Fatal(err)
+		}
+		reread, err := graph.Read(&text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := Extract(reread, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResult(t, child.DB(), got, cold, fmt.Sprintf("warmParent=%v", warmParent))
+	}
 }
 
 // TestWarmExtractRandomStream drives a random delta stream through a session

@@ -7,7 +7,7 @@
 //	<DataDir>/sessions/<id>/
 //	    MANIFEST             {version, snapshot, log, logOffset, core, shards}, atomic
 //	    snapshot-<V>.graph   graph text serialization at version V
-//	    snapshot-<V>.core    compiled-snapshot core blob (labels, Pos, histograms)
+//	    snapshot-<V>.core    compiled-snapshot core blob (labels, Pos, shard geometry)
 //	    shard-<V>-<i>.shard  one codec file per CSR shard, in shard order
 //	    wal-<V>.log          base record (same graph) + one delta per record
 //

@@ -173,6 +173,65 @@ func TestTruncatedShardFileFallsBackToRecompile(t *testing.T) {
 	}
 }
 
+// TestOldFormatSpillRecovers: a data dir spilled by a build whose core or
+// shard format had an older version is refused at load by its magic, so
+// recovery loads no shard file, recompiles from the graph snapshot, and
+// serves the schema the session served before the restart.
+func TestOldFormatSpillRecovers(t *testing.T) {
+	t.Setenv(compile.TestShardsEnv, "4")
+	for _, tc := range []struct {
+		name, magic string
+		file        func(m wal.Manifest) string
+	}{
+		{"core", "SXCORE01", func(m wal.Manifest) string { return m.Core }},
+		{"shard", "SXSHRD01", func(m wal.Manifest) string { return m.Shards[1] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1, ts1 := durableServer(t, Config{DataDir: dir, SpillEvery: 1})
+			id := createSession(t, ts1, chainData(256))
+			mutateOK(t, ts1, id, "link n0 n64 next\n")
+			want := extractSchema(t, ts1, id)
+			ts1.Close()
+			s1.Close()
+
+			sdir := filepath.Join(dir, sessionsSubdir, id)
+			m, err := wal.ReadManifest(sdir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Core == "" || len(m.Shards) < 2 {
+				t.Fatalf("want a shard-granular spill with several shards, got %+v", m)
+			}
+			path := filepath.Join(sdir, tc.file(m))
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(data, tc.magic)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			before := float64(compile.ShardsLoaded())
+			s2, ts2 := durableServer(t, Config{DataDir: dir, SpillEvery: 1})
+			defer func() { ts2.Close(); s2.Close() }()
+			if got := readShardFaults(t, ts2) - before; got != 0 {
+				t.Fatalf("recovery loaded %v shard files of an old-format spill, want 0", got)
+			}
+			status, out := post(t, ts2, "/v1/session/"+id+"/extract", mustJSON(t, map[string]interface{}{
+				"options": map[string]interface{}{"k": 2},
+			}))
+			if status != 200 {
+				t.Fatalf("extract after an old-format spill: status %d, body %v", status, out)
+			}
+			if got := extractSchema(t, ts2, id); got != want {
+				t.Fatalf("schema after an old-format spill differs:\n%s\nvs\n%s", got, want)
+			}
+		})
+	}
+}
+
 // TestInterruptedSpillRecoversAndSweeps: a spill that dies between writing
 // its generation files and the manifest rename leaves the old generation
 // authoritative. Recovery serves the old state, and the next committed spill

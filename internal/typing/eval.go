@@ -1,6 +1,7 @@
 package typing
 
 import (
+	"slices"
 	"sort"
 
 	"schemex/internal/bitset"
@@ -162,12 +163,53 @@ type removal struct {
 	o graph.ObjectID
 }
 
-// gfpRef is one (type, link) position whose target type a removal can
-// affect, with the link's label pre-resolved to a snapshot label ID.
+// classLink is a class-target link with its label resolved to a snapshot
+// label ID.
+type classLink struct {
+	target int
+	lab    int32
+	dir    Dir
+}
+
+// witnesses returns the neighbours of o that can witness l: the targets of
+// o's l.lab-edges for an outgoing link, their sources for an incoming one.
+func (l classLink) witnesses(snap *compile.Snapshot, o graph.ObjectID) []int32 {
+	if l.dir == Out {
+		return snap.OutRun(o, l.lab)
+	}
+	return snap.InRun(o, l.lab)
+}
+
+// dependents returns the objects that can lose a witness for l when x leaves
+// l's target type: the sources of x's l.lab-edges for an outgoing link,
+// their targets for an incoming one.
+func (l classLink) dependents(snap *compile.Snapshot, x graph.ObjectID) []int32 {
+	if l.dir == Out {
+		return snap.InRun(x, l.lab)
+	}
+	return snap.OutRun(x, l.lab)
+}
+
+// gfpRef is the ci-th class link of type t: a removal from the link's target
+// type can take away one of its witnesses.
 type gfpRef struct {
-	t, li int
-	lab   int32
-	dir   Dir
+	t, ci int
+	classLink
+}
+
+// support holds one type's witness counts: for each member of the type's
+// witness bound, at the member's rank in it, one cell per class-target link
+// of the type, counting the link's witnesses that are still members of its
+// target type.
+type support struct {
+	rank  *bitset.Rank
+	width int
+	cells []int32
+}
+
+// cell returns the count of the ci-th class link of member o.
+func (s *support) cell(o, ci int) *int32 {
+	return &s.cells[s.rank.Of(o)*s.width+ci]
 }
 
 // atomicWitnessSnap is atomicWitness against the compiled snapshot.
@@ -179,24 +221,185 @@ func atomicWitnessSnap(snap *compile.Snapshot, to graph.ObjectID, l TypedLink) b
 	return !l.HasValue || v.Text == l.Value
 }
 
-// EvalGFP computes the greatest fixpoint of p over a compiled snapshot with
-// support counting: each (object, type, link) triple tracks its number of
-// witnesses, and removals propagate along edges, giving work proportional to
-// edges × types touched rather than full re-evaluation rounds — one of the
-// "many possible improvements" §4 alludes to for monadic programs. The
-// snapshot supplies the label universe, the dense complex positions, and the
-// degree histograms that seed the support counts, so the evaluator performs
-// no per-call rebuild of any of them, and the propagation loop compares int32
-// label IDs instead of strings. Program labels are resolved against the
-// snapshot's label table once, up front.
+// witnessBound is the membership-independent part of a program's links. A
+// link's witness key is what an edge must be to witness the link whatever
+// the membership: an out-edge to an atomic object (optionally of one sort,
+// or with one value), an out-edge to a complex object, or an in-edge, each
+// with the link's label. For every distinct key the program uses, keys
+// holds the complex objects with at least one matching edge; linkKey[t][li]
+// names the key of link li of type t, or is -1 when the label is absent
+// from the data and nothing can witness the link.
 //
-// The support seeding is sharded by type across workers (<= 1 runs the exact
-// serial code path). Shards write disjoint state and the greatest fixpoint
-// is unique regardless of removal order, so the result is identical to
-// serial. check (nil means "never cancel") is consulted between phases, per
-// seeding shard, and every checkEvery propagation-queue pops; on a non-nil
-// check error the evaluation stops early, all worker goroutines are joined,
-// and the error is returned with a nil extent.
+// A type's witness bound M₀(t) is the intersection of its links' key sets:
+// the complex objects passing t's per-link witness filter. It contains t's
+// greatest fixpoint, and it settles every atomic-target link, whose
+// witnesses no membership change can take away.
+type witnessBound struct {
+	keys    []*bitset.Set
+	linkKey [][]int32
+}
+
+// newWitnessBound resolves p's links to witness keys and fills every key set
+// in one pass over the snapshot's edges, sharded by object range (shard
+// ranges are whole bitset words, so no two shards write one word). Sorts and
+// values are read from the atomic objects themselves; an edge pays a value
+// lookup only when its label carries a sort or value key.
+func newWitnessBound(p *Program, snap *compile.Snapshot, workers int, check func() error) (*witnessBound, error) {
+	nL := snap.NumLabels()
+	byLabel := func(size int) []int32 {
+		t := make([]int32, size)
+		for i := range t {
+			t[i] = -1
+		}
+		return t
+	}
+	in, outComplex, outAtomic := byLabel(nL), byLabel(nL), byLabel(nL)
+	outSort := byLabel(nL * compile.NumSorts)
+	type valueKey struct {
+		lab  int32
+		text string
+	}
+	type valueRef struct {
+		sort SortConstraint
+		key  int32
+	}
+	values := make(map[valueKey][]valueRef)
+	sorted := make([]bool, nL)     // a sort or value key reads this label's values
+	valueLabel := make([]bool, nL) // a value key reads this label's values
+	b := &witnessBound{linkKey: make([][]int32, len(p.Types))}
+	newKey := func() int32 {
+		b.keys = append(b.keys, bitset.New(snap.NumObjects()))
+		return int32(len(b.keys) - 1)
+	}
+	for ti, t := range p.Types {
+		row := make([]int32, len(t.Links))
+		for li, l := range t.Links {
+			lid, ok := snap.LabelID(l.Label)
+			if !ok {
+				row[li] = -1
+				continue
+			}
+			lab := int32(lid)
+			var slot *int32
+			switch {
+			case l.Dir == In:
+				slot = &in[lab]
+			case l.Target != AtomicTarget:
+				slot = &outComplex[lab]
+			case l.HasValue:
+				vk := valueKey{lab, l.Value}
+				refs := values[vk]
+				k := slices.IndexFunc(refs, func(r valueRef) bool { return r.sort == l.Sort })
+				if k < 0 {
+					refs = append(refs, valueRef{l.Sort, newKey()})
+					values[vk] = refs
+					k = len(refs) - 1
+				}
+				sorted[lab], valueLabel[lab] = true, true
+				row[li] = refs[k].key
+				continue
+			case l.Sort != AnySort:
+				slot = &outSort[int(lab)*compile.NumSorts+int(l.Sort)-1]
+				sorted[lab] = true
+			default:
+				slot = &outAtomic[lab]
+			}
+			if *slot < 0 {
+				*slot = newKey()
+			}
+			row[li] = *slot
+		}
+		b.linkKey[ti] = row
+	}
+	set := func(k int32, o graph.ObjectID) {
+		if k >= 0 {
+			b.keys[k].Set(int(o))
+		}
+	}
+	err := par.DoItemsErr(workers, snap.NumShards(), func(si int) error {
+		sh := snap.Shard(si)
+		for i := 0; i < sh.N; i++ {
+			if check != nil && i%checkEvery == 0 {
+				if err := check(); err != nil {
+					return err
+				}
+			}
+			if sh.Pos[i] < 0 {
+				continue // atomic objects are never members
+			}
+			o := graph.ObjectID(sh.Base + i)
+			to, labs := snap.Out(o)
+			for k, lab := range labs {
+				x := graph.ObjectID(to[k])
+				if !snap.IsAtomic(x) {
+					set(outComplex[lab], o)
+					continue
+				}
+				set(outAtomic[lab], o)
+				if !sorted[lab] {
+					continue
+				}
+				v, _ := snap.Value(x)
+				if s := int(v.Sort); s < compile.NumSorts {
+					set(outSort[int(lab)*compile.NumSorts+s], o)
+				}
+				if valueLabel[lab] {
+					for _, r := range values[valueKey{lab, v.Text}] {
+						if SortMatches(r.sort, v.Sort) {
+							set(r.key, o)
+						}
+					}
+				}
+			}
+			_, inLabs := snap.In(o)
+			for _, lab := range inLabs {
+				set(in[lab], o)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// candidate reports whether complex object o is in M₀(t).
+func (b *witnessBound) candidate(t int, o graph.ObjectID) bool {
+	for _, k := range b.linkKey[t] {
+		if k < 0 || !b.keys[k].Test(int(o)) {
+			return false
+		}
+	}
+	return true
+}
+
+// EvalGFP computes the greatest fixpoint of p over a compiled snapshot by a
+// support-counting descent, one of the "many possible improvements" §4
+// alludes to for monadic programs. The descent starts at the witness bound
+// M₀ (see witnessBound) rather than at §4's M_all, the way simulation
+// algorithms start from the label-compatible relation: most (type, object)
+// pairs of a Q_D program fail for want of any edge of the right label and
+// direction, and the bound drops them without a fixpoint step.
+//
+// Only class-target links can lose witnesses afterwards, so only they are
+// counted: each member of M₀(t) gets, per class link of t, its number of
+// witnesses in M₀ of the link's target, and pairs left with a zero count are
+// removed. Removals then propagate along label runs — a removal of (j, x)
+// visits, for each link targeting j, only the run of x's edges carrying the
+// link's label — giving work proportional to the edges × types touched
+// rather than full re-evaluation rounds. Program labels are resolved against
+// the snapshot's label table once, up front, and the loops compare int32
+// label IDs.
+//
+// The bound and the counting are sharded across workers (<= 1 runs the exact
+// serial code path): shards write disjoint state, the counting only reads
+// M₀, and the greatest fixpoint is unique regardless of removal order, so
+// the result is identical to serial. check (nil means "never cancel") is
+// consulted between phases, per object range of the bound pass, per counted
+// type, and every checkEvery propagation-queue pops; on a non-nil check
+// error the evaluation stops early, all worker goroutines are joined, and
+// the error is returned with a nil extent.
 func EvalGFP(p *Program, snap *compile.Snapshot, workers int, check func() error) (*Extent, error) {
 	n := snap.NumObjects()
 	nT := len(p.Types)
@@ -211,55 +414,71 @@ func EvalGFP(p *Program, snap *compile.Snapshot, workers int, check func() error
 		}
 		member[i] = bitset.New(n)
 	}
+	bound, err := newWitnessBound(p, snap, workers, check)
+	if err != nil {
+		return nil, err
+	}
 
-	complexObjs := snap.Complex
-	nC := len(complexObjs)
-	pos := snap.Pos
-	const nSorts = compile.NumSorts
-
-	// counts[t] is indexed by linkIdx*nC + position(obj).
-	counts := make([][]int32, nT)
-	var queue []removal
-	remove := func(t int, o graph.ObjectID) {
-		if member[t].Test(int(o)) {
-			member[t].Clear(int(o))
-			queue = append(queue, removal{t, o})
+	// M₀(t): the complex objects (for a type with no links), narrowed by the
+	// key set of every link.
+	all := bitset.New(n)
+	for _, o := range snap.Complex {
+		all.Set(int(o))
+	}
+	for ti, keys := range bound.linkKey {
+		// Another many-types × many-objects sweep (see the member loop
+		// above): keep it cancellable, and check often — under GC pressure a
+		// single row operation can stall for milliseconds.
+		if check != nil && ti%64 == 0 {
+			if err := check(); err != nil {
+				return nil, err
+			}
+		}
+		if slices.Contains(keys, -1) {
+			continue
+		}
+		m := member[ti]
+		m.Or(all)
+		for _, k := range keys {
+			m.And(bound.keys[k])
 		}
 	}
 
+	// refs[j] lists the class links targeting type j, so a removal from j
+	// decrements exactly the affected counts; classLinks[t] lists t's own.
+	// Links whose label is absent from the data are left out of refs: their
+	// type's bound is empty. Each refs list is ordered by (direction, label),
+	// so consecutive refs share one label-run lookup.
+	refs := make([][]gfpRef, nT)
+	classLinks := make([][]classLink, nT)
 	for ti, t := range p.Types {
-		// Another many-types × many-objects allocation sweep (see the
-		// member loop above): keep it cancellable, and check often — under
-		// GC pressure a single table allocation can stall for milliseconds.
-		if check != nil && ti%64 == 0 {
-			if err := check(); err != nil {
-				return nil, err
+		for _, l := range t.Links {
+			if l.Target == AtomicTarget {
+				continue // settled by the bound
 			}
-		}
-		counts[ti] = make([]int32, len(t.Links)*nC)
-	}
-	// Initially every complex object is in every type: build the membership
-	// prototype once and copy it per type (word-wise, far cheaper than nT
-	// scattered Set calls per object), checking between copies.
-	proto := bitset.New(n)
-	for _, o := range complexObjs {
-		proto.Set(int(o))
-	}
-	for ti := range p.Types {
-		if check != nil && ti%64 == 0 {
-			if err := check(); err != nil {
-				return nil, err
+			lid, ok := snap.LabelID(l.Label)
+			cl := classLink{l.Target, int32(lid), l.Dir}
+			if ok {
+				refs[l.Target] = append(refs[l.Target], gfpRef{ti, len(classLinks[ti]), cl})
 			}
+			classLinks[ti] = append(classLinks[ti], cl)
 		}
-		member[ti].Or(proto)
 	}
-	// Seed the support counts sharded by type: shard ti touches only
-	// member[ti], counts[ti], and its own deferred removal list, so shards
-	// never race. The lists are drained into the queue afterwards; the
-	// propagation result does not depend on that order (the GFP is unique).
-	// Initially every complex object is in every type, so the initial
-	// witness count of a typed link depends only on (direction, label,
-	// atomic-vs-complex) — exactly the histograms the snapshot carries.
+	for _, rs := range refs {
+		slices.SortStableFunc(rs, func(a, b gfpRef) int {
+			if a.dir != b.dir {
+				return int(a.dir) - int(b.dir)
+			}
+			return int(a.lab) - int(b.lab)
+		})
+	}
+
+	// Count, sharded by type: shard ti reads M₀ and writes only counts[ti]
+	// and its own removal list, so shards never race. A member is removed
+	// at its first link left without a witness; its other cells are never
+	// read. The lists are drained into the queue afterwards; the propagation
+	// result does not depend on that order (the GFP is unique).
+	counts := make([]support, nT)
 	initRemoved := make([][]graph.ObjectID, nT)
 	if err := par.DoItemsErr(workers, nT, func(ti int) error {
 		if check != nil {
@@ -267,105 +486,49 @@ func EvalGFP(p *Program, snap *compile.Snapshot, workers int, check func() error
 				return err
 			}
 		}
-		t := p.Types[ti]
+		links := classLinks[ti]
+		m := member[ti]
+		if len(links) == 0 {
+			return nil
+		}
+		sup := support{rank: m.Rank(), width: len(links)}
+		sup.cells = make([]int32, m.Count()*sup.width)
 		var local []graph.ObjectID
-		rm := func(o graph.ObjectID) {
-			if member[ti].Test(int(o)) {
-				member[ti].Clear(int(o))
-				local = append(local, o)
-			}
-		}
-		for li, l := range t.Links {
-			row := counts[ti][li*nC : (li+1)*nC]
-			lid, known := snap.LabelID(l.Label)
-			if !known {
-				// Label absent from the data: nothing can witness it.
-				for _, o := range complexObjs {
-					rm(o)
-				}
-				continue
-			}
-			if l.Dir == Out && l.Target == AtomicTarget && l.HasValue {
-				// Value-constrained links are rare; count by scanning each
-				// object's edges directly.
-				lid32 := int32(lid)
-				for i, o := range complexObjs {
-					var c int32
-					to, lab := snap.Out(o)
-					for k := range to {
-						if lab[k] == lid32 && snap.IsAtomic(graph.ObjectID(to[k])) &&
-							atomicWitnessSnap(snap, graph.ObjectID(to[k]), l) {
-							c++
-						}
-					}
-					row[i] = c
-					if c == 0 {
-						rm(o)
+		r := 0
+		m.ForEach(func(oi int) {
+			o := graph.ObjectID(oi)
+			row := sup.cells[r*sup.width : (r+1)*sup.width]
+			r++
+			for ci, l := range links {
+				tgt := member[l.target]
+				c := int32(0)
+				for _, x := range l.witnesses(snap, o) {
+					if tgt.Test(int(x)) {
+						c++
 					}
 				}
-				continue
-			}
-			if l.Dir == Out && l.Target == AtomicTarget && l.Sort != AnySort {
-				si := int(l.Sort) - 1
-				col := lid*nSorts + si
-				for i, o := range complexObjs {
-					c := snap.OutAtomicSort.At(i, col)
-					row[i] = c
-					if c == 0 {
-						rm(o)
-					}
-				}
-				continue
-			}
-			var hist *compile.Hist
-			switch {
-			case l.Dir == Out && l.Target == AtomicTarget:
-				hist = &snap.OutAtomic
-			case l.Dir == Out:
-				hist = &snap.OutComplex
-			default:
-				hist = &snap.InComplex
-			}
-			for i, o := range complexObjs {
-				c := hist.At(i, lid)
-				row[i] = c
 				if c == 0 {
-					rm(o)
+					local = append(local, o)
+					return
 				}
+				row[ci] = c
 			}
-		}
+		})
+		counts[ti] = sup
 		initRemoved[ti] = local
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	// For Q_D the initial removals number O(n²): size the queue once.
 	total := 0
 	for _, list := range initRemoved {
 		total += len(list)
 	}
-	queue = make([]removal, 0, total)
+	queue := make([]removal, 0, total)
 	for ti, list := range initRemoved {
 		for _, o := range list {
+			member[ti].Clear(int(o))
 			queue = append(queue, removal{ti, o})
-		}
-	}
-
-	// refs[j] lists the (type, link) positions whose target is type j, split
-	// by direction, so a removal from type j can decrement exactly the
-	// affected counts. Labels are pre-resolved to snapshot IDs (-1 for
-	// labels absent from the data, which no edge can ever match).
-	refs := make([][]gfpRef, nT)
-	for ti, t := range p.Types {
-		for li, l := range t.Links {
-			if l.Target == AtomicTarget {
-				continue // atomic membership never changes
-			}
-			lab := int32(-1)
-			if lid, ok := snap.LabelID(l.Label); ok {
-				lab = int32(lid)
-			}
-			refs[l.Target] = append(refs[l.Target], gfpRef{ti, li, lab, l.Dir})
 		}
 	}
 
@@ -392,42 +555,18 @@ func EvalGFP(p *Program, snap *compile.Snapshot, workers int, check func() error
 		}
 		rm := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		x := rm.o
-		for _, rf := range refs[rm.t] {
-			if rf.dir == Out {
-				// Some object o with an ℓ-edge to x may lose a witness for
-				// →ℓ[rm.t].
-				from, lab := snap.In(x)
-				for k := range from {
-					if lab[k] != rf.lab {
-						continue
-					}
-					o := graph.ObjectID(from[k])
-					if !member[rf.t].Test(int(o)) {
-						continue
-					}
-					c := &counts[rf.t][rf.li*nC+int(pos[o])]
-					*c--
-					if *c == 0 {
-						remove(rf.t, o)
-					}
-				}
-			} else {
-				// Some object o with an ℓ-edge from x may lose a witness for
-				// ←ℓ[rm.t].
-				to, lab := snap.Out(x)
-				for k := range to {
-					if lab[k] != rf.lab {
-						continue
-					}
-					o := graph.ObjectID(to[k])
-					if snap.IsAtomic(o) || !member[rf.t].Test(int(o)) {
-						continue
-					}
-					c := &counts[rf.t][rf.li*nC+int(pos[o])]
-					*c--
-					if *c == 0 {
-						remove(rf.t, o)
+		var run []int32
+		for i, rf := range refs[rm.t] {
+			if i == 0 || rf.dir != refs[rm.t][i-1].dir || rf.lab != refs[rm.t][i-1].lab {
+				run = rf.dependents(snap, rm.o)
+			}
+			m := member[rf.t]
+			for _, y := range run {
+				if o := int(y); m.Test(o) {
+					c := counts[rf.t].cell(o, rf.ci)
+					if *c--; *c == 0 {
+						m.Clear(o)
+						queue = append(queue, removal{rf.t, graph.ObjectID(o)})
 					}
 				}
 			}
@@ -439,31 +578,29 @@ func EvalGFP(p *Program, snap *compile.Snapshot, workers int, check func() error
 // propagateSharded drains the removal frontier by shard-parallel rounds.
 // Each round has two phases with a barrier between them:
 //
-//   - Phase A fans out: frontier chunks walk their removals' snapshot edges
-//     in parallel and translate each into an intent — "decrement the
-//     support of (type t, link li) at object o" — bucketed by the shard
-//     owning o. Phase A only reads membership, so chunks never race.
+//   - Phase A fans out: frontier chunks walk their removals' label runs in
+//     parallel and translate each edge into an intent — "decrement the
+//     support of (type t, class link ci) at object o" — bucketed by the
+//     shard owning o. Phase A only reads membership, so chunks never race.
 //   - Phase B applies: each shard's worker replays, alone, every intent
 //     aimed at its shard — membership re-check (an intent whose object an
 //     earlier intent this round already removed is dropped, exactly the
 //     serial loop's member guard), decrement, and removal at zero. A worker
-//     writes only the counts entries, membership bits, and next-frontier
-//     list of its own shard's objects; shard ranges are whole multiples of
-//     64 IDs, so not even a membership bitset word is shared.
+//     writes only the count cells, membership bits, and next-frontier list
+//     of its own shard's objects; shard ranges are whole multiples of 64
+//     IDs, so not even a membership bitset word is shared.
 //
 // The next frontier is the concatenation of the per-shard removal lists,
 // and the loop ends when a round removes nothing. Intra-round application
 // order differs from the serial queue's, but the GFP is the unique largest
 // fixpoint, so the final membership is bit-identical; counts are scratch
 // state discarded with the call.
-func propagateSharded(snap *compile.Snapshot, member []*bitset.Set, counts [][]int32,
+func propagateSharded(snap *compile.Snapshot, member []*bitset.Set, counts []support,
 	refs [][]gfpRef, frontier []removal, workers int, check func() error) error {
 	type intent struct {
-		t, li int
+		t, ci int
 		o     graph.ObjectID
 	}
-	nC := snap.NumComplex()
-	pos := snap.Pos
 	nSh := snap.NumShards()
 	W := par.Workers(workers)
 	for len(frontier) > 0 {
@@ -493,33 +630,16 @@ func propagateSharded(snap *compile.Snapshot, member []*bitset.Set, counts [][]i
 			}
 			out := make([][]intent, nSh)
 			for _, rm := range frontier[lo:hi] {
-				x := rm.o
-				for _, rf := range refs[rm.t] {
-					if rf.dir == Out {
-						from, lab := snap.In(x)
-						for k := range from {
-							if lab[k] != rf.lab {
-								continue
-							}
-							o := graph.ObjectID(from[k])
-							if !member[rf.t].Test(int(o)) {
-								continue
-							}
+				var run []int32
+				for i, rf := range refs[rm.t] {
+					if i == 0 || rf.dir != refs[rm.t][i-1].dir || rf.lab != refs[rm.t][i-1].lab {
+						run = rf.dependents(snap, rm.o)
+					}
+					for _, y := range run {
+						o := graph.ObjectID(y)
+						if member[rf.t].Test(int(o)) {
 							si := snap.ShardOf(o)
-							out[si] = append(out[si], intent{rf.t, rf.li, o})
-						}
-					} else {
-						to, lab := snap.Out(x)
-						for k := range to {
-							if lab[k] != rf.lab {
-								continue
-							}
-							o := graph.ObjectID(to[k])
-							if snap.IsAtomic(o) || !member[rf.t].Test(int(o)) {
-								continue
-							}
-							si := snap.ShardOf(o)
-							out[si] = append(out[si], intent{rf.t, rf.li, o})
+							out[si] = append(out[si], intent{rf.t, rf.ci, o})
 						}
 					}
 				}
@@ -542,9 +662,8 @@ func propagateSharded(snap *compile.Snapshot, member []*bitset.Set, counts [][]i
 					if !member[it.t].Test(int(it.o)) {
 						continue
 					}
-					c := &counts[it.t][it.li*nC+int(pos[it.o])]
-					*c--
-					if *c == 0 {
+					c := counts[it.t].cell(int(it.o), it.ci)
+					if *c--; *c == 0 {
 						member[it.t].Clear(int(it.o))
 						local = append(local, removal{it.t, it.o})
 					}

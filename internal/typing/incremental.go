@@ -35,24 +35,24 @@ const maxAffectedFrac = 0.25
 //
 // Soundness. The starting membership is M₀ = parent rows for unchanged
 // types, and for each changed or new type the union of its stale parent row
-// with its fresh candidate row (the complex objects passing the per-link
-// witness filter: every link of the type has at least one edge of the right
-// direction and label at the object, with atomic sort/value constraints
-// checked exactly). On top of that, candidate raises propagate: starting
-// from the fresh-minus-stale members of changed rows, the candidate pairs
-// of new objects, and the non-member pairs of touched columns whose added
-// edges could witness a link the parent database did not witness at all,
-// any pair adjacent to a raised pair through the program's reverse
-// dependencies is raised too when it passes the witness filter, until
-// closure. M₀ then contains the new fixpoint: a pair outside M₀ and the
-// raises existed in the parent database, failed the parent fixpoint for
-// lack of a witness, gained no own-edge witness the parent lacked, and is
-// not adjacent to any raised pair — so a family of such pairs inside the
-// new fixpoint has every link witnessed in the parent database by the
-// parent fixpoint plus the family itself, a pre-fixpoint above the parent's
-// greatest fixpoint there — a contradiction. The support-counting descent
-// from M₀ therefore converges to exactly the fixpoint EvalGFP
-// computes — bit-identical extents.
+// with its fresh candidate row — the witness bound EvalGFP starts from: the
+// complex objects passing the per-link witness filter, where every link of
+// the type has at least one edge of the right direction and label at the
+// object, with atomic sort/value constraints checked exactly. On top of
+// that, candidate raises propagate: starting from the fresh-minus-stale
+// members of changed rows, the candidate pairs of new objects, and the
+// non-member pairs of touched columns whose added edges could witness a link
+// the parent database did not witness at all, any pair adjacent to a raised
+// pair through the program's reverse dependencies is raised too when it
+// passes the witness filter, until closure. M₀ then contains the new
+// fixpoint: a pair outside M₀ and the raises existed in the parent database,
+// failed the parent fixpoint for lack of a witness, gained no own-edge
+// witness the parent lacked, and is not adjacent to any raised pair — so a
+// family of such pairs inside the new fixpoint has every link witnessed in
+// the parent database by the parent fixpoint plus the family itself, a
+// pre-fixpoint above the parent's greatest fixpoint there — a contradiction.
+// The support-counting descent from M₀ therefore converges to exactly the
+// fixpoint EvalGFP computes — bit-identical extents.
 //
 // Support-count rows are kept sparsely and fully lazily. Seed pairs —
 // changed-row members, raised pairs, and parent members of touched columns —
@@ -135,50 +135,13 @@ func EvalGFPSnapIncr(p *Program, snap *compile.Snapshot, parent *Extent, changed
 		}
 	}
 
-	// candidate reports whether object o passes type t's per-link witness
-	// filter: a necessary condition for membership that ignores complex
-	// target membership (label and direction presence; atomic constraints
-	// are membership-independent and checked exactly).
-	candidate := func(t int, o graph.ObjectID) bool {
-		links := p.Types[t].Links
-		labs := labelOf[t]
-		for li, l := range links {
-			lab := labs[li]
-			if lab < 0 {
-				return false
-			}
-			found := false
-			if l.Dir == Out {
-				to, elab := snap.Out(o)
-				for k := range to {
-					if elab[k] != lab {
-						continue
-					}
-					tgt := graph.ObjectID(to[k])
-					if l.Target == AtomicTarget {
-						if atomicWitnessSnap(snap, tgt, l) {
-							found = true
-							break
-						}
-					} else if !snap.IsAtomic(tgt) {
-						found = true
-						break
-					}
-				}
-			} else {
-				from, elab := snap.In(o)
-				for k := range from {
-					if elab[k] == lab {
-						found = true
-						break
-					}
-				}
-			}
-			if !found {
-				return false
-			}
-		}
-		return true
+	// bound.candidate is EvalGFP's witness-bound test applied pair by pair:
+	// a necessary condition for membership that ignores complex target
+	// membership (label and direction presence; atomic constraints are
+	// membership-independent and checked exactly).
+	bound, err := newWitnessBound(p, snap, 1, check)
+	if err != nil {
+		return nil, false, err
 	}
 
 	// Widen touched with the complex in-neighbors of touched atomics: a
@@ -241,7 +204,7 @@ func EvalGFPSnapIncr(p *Program, snap *compile.Snapshot, parent *Extent, changed
 		row := bitset.New(n)
 		private[t] = true
 		for _, o := range snap.Complex {
-			if candidate(t, o) {
+			if bound.candidate(t, o) {
 				row.Set(int(o))
 				cost++
 				needRow = append(needRow, pr{t, o})
@@ -414,7 +377,7 @@ func EvalGFPSnapIncr(p *Program, snap *compile.Snapshot, parent *Extent, changed
 			if member[t].Test(int(o)) {
 				cost++
 				needRow = append(needRow, pr{t, o})
-			} else if raiseNeeded(t, o) && candidate(t, o) {
+			} else if raiseNeeded(t, o) && bound.candidate(t, o) {
 				own(t)
 				member[t].Set(int(o))
 				cost++
@@ -453,7 +416,7 @@ func EvalGFPSnapIncr(p *Program, snap *compile.Snapshot, parent *Extent, changed
 						continue
 					}
 					o := graph.ObjectID(from[k])
-					if member[rf.t].Test(int(o)) || !candidate(rf.t, o) {
+					if member[rf.t].Test(int(o)) || !bound.candidate(rf.t, o) {
 						continue
 					}
 					own(rf.t)
@@ -469,7 +432,7 @@ func EvalGFPSnapIncr(p *Program, snap *compile.Snapshot, parent *Extent, changed
 						continue
 					}
 					o := graph.ObjectID(to[k])
-					if snap.IsAtomic(o) || member[rf.t].Test(int(o)) || !candidate(rf.t, o) {
+					if snap.IsAtomic(o) || member[rf.t].Test(int(o)) || !bound.candidate(rf.t, o) {
 						continue
 					}
 					own(rf.t)
@@ -640,12 +603,11 @@ type budgetErr struct{}
 func (*budgetErr) Error() string { return "typing: incremental budget exceeded" }
 
 // countWitnessesSnap counts the witnesses of typed link l for object o under
-// the given membership by scanning o's CSR edges. Unlike the histogram
-// seeding of the full evaluator — which is valid only under the everything-
-// is-a-member start — this respects arbitrary membership, as required by
-// warm starts. An In link with an atomic target mirrors the full
-// evaluator's histogram semantics (every in-edge counts; edge sources are
-// complex by the data model).
+// the given membership by scanning o's CSR edges, including atomic-target
+// links, whose counts the full evaluator never keeps: a warm start seeds
+// rows against an arbitrary membership. An In link with an atomic target
+// mirrors the full evaluator's in-edge witness key (every in-edge counts;
+// edge sources are complex by the data model).
 func countWitnessesSnap(snap *compile.Snapshot, l TypedLink, o graph.ObjectID, member []*bitset.Set) int32 {
 	lid, known := snap.LabelID(l.Label)
 	if !known {

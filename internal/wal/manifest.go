@@ -24,14 +24,14 @@ type Manifest struct {
 	Log       string `json:"log"`
 	LogOffset int64  `json:"logOffset"`
 	// Core and Shards, when present, make the spill shard-granular: Core
-	// names the compiled snapshot's core blob (label universe, global
-	// tables, histograms) and Shards one file per CSR shard, in shard order,
-	// all relative to the session directory. Recovery can then rebuild the
-	// compiled snapshot without recompiling, reading and checking every
-	// shard file once. Absent (a manifest written before shard-granular
-	// spills, or after a codec version bump), recovery recompiles from
-	// Snapshot — the fields are an optimization, never a correctness
-	// requirement.
+	// names the compiled snapshot's core blob (label universe, position
+	// table, shard geometry) and Shards one file per CSR shard, in shard
+	// order, all relative to the session directory. Recovery can then
+	// rebuild the compiled snapshot without recompiling, reading and
+	// checking every shard file once. Absent (a manifest written before
+	// shard-granular spills, or after a codec version bump), recovery
+	// recompiles from Snapshot — the fields are an optimization, never a
+	// correctness requirement.
 	Core   string   `json:"core,omitempty"`
 	Shards []string `json:"shards,omitempty"`
 }

@@ -144,7 +144,7 @@ func toSweep(csw *core.SweepResult) *Sweep {
 
 // Prepared is a compiled, reusable extraction context for one graph: an
 // immutable CSR snapshot of the data (interned labels, dense positions,
-// degree histograms) shared by every extraction stage, plus a memo of the
+// label-sorted edge runs) shared by every extraction stage, plus a memo of the
 // most recent Stage 1 typing. Prepare once with PrepareOptions and call
 // ExtractPreparedContext / SweepPreparedContext many times — with different
 // K, distance, or recast options — to skip the per-call compilation; results

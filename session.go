@@ -1,8 +1,8 @@
 // Delta sessions: the facade surface for extraction over evolving data. A
 // Delta batches edits to a graph; applying one to a Prepared yields a new
 // Prepared for the mutated data that shares everything the edits did not
-// touch with its parent — the compiled snapshot's CSR rows and histograms,
-// the graph's edge slices, and (through a warm-started Stage 1 fixpoint)
+// touch with its parent — the compiled snapshot's CSR shards, the graph's
+// edge slices, and (through a warm-started Stage 1 fixpoint)
 // most of the minimal perfect typing work. Parent sessions stay fully
 // usable: applying never mutates, it branches.
 package schemex
@@ -202,8 +202,8 @@ func (p *Prepared) IncrStats() IncrStats {
 }
 
 // EncodeSnapshotCore serializes the session's compiled snapshot minus its
-// shard CSR blocks — label universe, global tables, degree histograms, shard
-// geometry — in a versioned checksummed format. Together with one
+// shard CSR blocks — label universe, position table, shard geometry — in a
+// versioned checksummed format. Together with one
 // EncodeShard blob per shard it is a complete shard-granular spill of the
 // snapshot; PrepareSpilled reads it back.
 func (p *Prepared) EncodeSnapshotCore() []byte { return p.prep.EncodeSnapshotCore() }
