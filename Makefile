@@ -46,7 +46,8 @@ examples:
 	@for d in examples/*/; do echo "=== $$d ==="; $(GO) run ./$$d || exit 1; done
 
 # Fuzzing pass over every parser and spill-blob decoder, plus the
-# differential fixpoint fuzzer (longer runs: raise FUZZTIME).
+# differential fixpoint and greedy-engine fuzzers (longer runs: raise
+# FUZZTIME).
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -fuzz='^FuzzParseOEM$$' -fuzztime $(FUZZTIME) ./internal/graph/
@@ -61,6 +62,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -fuzz='^FuzzDecodeShard$$' -fuzztime $(FUZZTIME) ./internal/compile/
 	$(GO) test -fuzz='^FuzzLoadSnapshot$$' -fuzztime $(FUZZTIME) ./internal/compile/
+	$(GO) test -fuzz='^FuzzGreedyMatchesBruteForce$$' -fuzztime $(FUZZTIME) ./internal/cluster/
 
 # 30 seconds per fuzzer; part of `make check`.
 fuzz-short:

@@ -49,9 +49,44 @@ func bruteForceBest(g *Greedy) (from, to int, cost float64, ok bool) {
 
 // checkCells asserts that every matrix cell between two active slots equals
 // the Manhattan distance of their definitions, and every cached size the
-// popcount of its definition.
+// popcount of its definition. Bits stand for links, so it first asserts the
+// link table: each link's holder set is exactly the active slots whose
+// definitions hold it, and a held link's key maps back to it, targets an
+// active slot and sits on that slot's list. Two held links can then never
+// share a key, and a popcount over bits is the distance over links.
 func checkCells(t *testing.T, g *Greedy, trial, step int) {
 	t.Helper()
+	for p := 0; p < g.L; p++ {
+		held := bitset.New(g.n)
+		for c := 0; c < g.n; c++ {
+			if g.active[c] && g.set[c].Test(p) {
+				held.Set(c)
+			}
+		}
+		if !g.holders[p].Equal(held) {
+			t.Fatalf("trial %d step %d: link %d has holder index %v, held by %v", trial, step, p, g.holders[p], held)
+		}
+		if held.Count() == 0 {
+			continue
+		}
+		key := g.links[p]
+		if id, ok := g.linkID[key]; !ok || int(id) != p {
+			t.Fatalf("trial %d step %d: held link %d has key %v, which maps to %d (%v)", trial, step, p, key, id, ok)
+		}
+		if key.target == typing.AtomicTarget {
+			continue
+		}
+		if !g.active[key.target] {
+			t.Fatalf("trial %d step %d: held link %d targets retired slot %d", trial, step, p, key.target)
+		}
+		listed := false
+		for q := g.into[key.target]; q >= 0 && !listed; q = g.next[q] {
+			listed = int(q) == p
+		}
+		if !listed {
+			t.Fatalf("trial %d step %d: held link %d is missing from slot %d's list", trial, step, p, key.target)
+		}
+	}
 	for i := 0; i < g.n; i++ {
 		if !g.active[i] {
 			continue

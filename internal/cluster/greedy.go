@@ -79,30 +79,43 @@ type Step struct {
 // reads the target number of types, one run to the last move yields the
 // typing at every size (the whole sensitivity curve of §7.2).
 //
-// Internally every type definition is a point on the {0,1}^U hypercube of
-// interned typed links: a link is a (base, target) pair where the base
-// carries direction/label/sort/value and the target column is the atomic
-// pseudo-slot or one of the n original type slots. Definitions are bitsets
-// over that closed universe, so the §5.2 Manhattan distance is a word-wise
-// popcount (bitset.XorCount) and the §5.1 hypercube projection is a column
-// rewrite — no map walks on the hot path.
+// Internally every type definition is a point on the §5.2 hypercube
+// {0,1}^L over the L distinct typed links of the seeded program. A link is
+// a (base, target) pair: the base carries direction/label/sort/value, the
+// target is the atomic pseudo-slot or one of the n original type slots.
+// Definitions are L-bit sets, so the Manhattan distance is a word-wise
+// popcount (bitset.XorCount). An inverted index from each link to the slots
+// holding it lets the §5.1 projection visit only the slots that reference
+// the absorbed class; it renames or collapses each link into that class
+// (see project), so the universe never grows.
 type Greedy struct {
 	cfg Config
 
 	bases []typing.TypedLink // base id -> representative link (Target meaningless)
 	// Base interning. With a compiled snapshot, plain bases (no sort or
 	// value constraint, label present in the data) are keyed arithmetically
-	// as dir*nL+labelID into plainBase — the universe comes pre-interned
-	// from the snapshot's label table and no map is built for them.
+	// as dir*nL+labelID into plainBase — no map is built for them.
 	// Constrained bases and labels absent from the data (seed schemas may
 	// reference either) fall back to baseID; without a snapshot everything
 	// goes through baseID.
 	snap      *compile.Snapshot
 	plainBase []int32
 	baseID    map[typing.TypedLink]int
-	stride    int // columns per base: column 0 = atomic, column s+1 = slot s
 
-	set     []*bitset.Set // slot -> definition over the universe
+	// The link table, the hypercube's L dimensions. links[p] is link p's
+	// current key; a projection renames keys in place. linkID maps the key
+	// of every link some active slot holds to its ID (a key may also still
+	// map to a link nobody holds any more). holders[p] is the set of active
+	// slots whose definitions hold p. into[s] heads the list, threaded
+	// through next, of the links whose key targets slot s (-1 ends a list);
+	// it may include links nobody holds any more.
+	links   []linkKey
+	linkID  map[linkKey]int32
+	holders []*bitset.Set
+	into    []int32
+	next    []int32
+
+	set     []*bitset.Set // slot -> definition: the set of links it holds
 	size    []int         // slot -> |definition| (cached popcount)
 	weight  []int
 	members []int // slot -> number of original types absorbed
@@ -140,8 +153,11 @@ type Greedy struct {
 	bestTo   []int
 	rowValid []bool
 
-	touchedMark []bool // scratch: touched-slot membership during a move
+	touchedAt []int // scratch: slot -> 1 + its index in a move's touched list, or 0
 }
+
+// linkKey is a link's (base, target) pair; target is a slot or AtomicTarget.
+type linkKey struct{ base, target int32 }
 
 // noMove is the cached destination of a row with no legal move.
 const noMove = -2
@@ -149,12 +165,11 @@ const noMove = -2
 // NewGreedy initializes the engine from a Stage 1 program. Type weights must
 // be set (home-class sizes); link targets refer to type indices of p.
 //
-// A non-nil snap pre-interns the typed-link universe: plain link bases are
-// resolved arithmetically against the snapshot's label table instead of
-// through a freshly built map. A nil snapshot falls back to map-only
-// interning. The engine's behavior is identical either way (base IDs only
-// index hypercube columns; distances and the merge sequence do not depend on
-// their order).
+// A non-nil snap speeds up interning: plain link bases are resolved
+// arithmetically against the snapshot's label table instead of through a
+// freshly built map. A nil snapshot falls back to map-only interning. The
+// engine's behavior is identical either way (link IDs only index hypercube
+// dimensions; distances and the merge sequence do not depend on them).
 //
 // A non-nil w is a warm start: matrix cells between two slots that w maps
 // onto a parent State are copied from the captured triangle instead of
@@ -166,17 +181,15 @@ const noMove = -2
 func NewGreedy(p *typing.Program, snap *compile.Snapshot, cfg Config, w *Warm) *Greedy {
 	n := len(p.Types)
 	g := &Greedy{
-		cfg:         cfg,
-		snap:        snap,
-		prog:        p,
-		stride:      n + 1,
-		weight:      make([]int, n),
-		members:     make([]int, n),
-		active:      make([]bool, n),
-		n:           n,
-		nAct:        n,
-		L:           p.DistinctLinks(),
-		touchedMark: make([]bool, n),
+		cfg:       cfg,
+		snap:      snap,
+		prog:      p,
+		weight:    make([]int, n),
+		members:   make([]int, n),
+		active:    make([]bool, n),
+		n:         n,
+		nAct:      n,
+		touchedAt: make([]int, n),
 	}
 	if snap != nil {
 		g.plainBase = make([]int32, 2*snap.NumLabels())
@@ -184,21 +197,55 @@ func NewGreedy(p *typing.Program, snap *compile.Snapshot, cfg Config, w *Warm) *
 			g.plainBase[i] = -1
 		}
 	}
+	// Intern every distinct (base, target) pair in first-seen order, so L
+	// is the paper's count of distinct typed links. ids holds the link ID of
+	// every link occurrence, in program order. The occurrence count bounds
+	// L, so sizing by it keeps interning to a constant number of
+	// allocations.
+	occ := 0
+	for _, t := range p.Types {
+		occ += len(t.Links)
+	}
+	ids := make([]int32, 0, occ)
+	g.links = make([]linkKey, 0, occ)
+	g.linkID = make(map[linkKey]int32, occ)
 	for _, t := range p.Types {
 		for _, l := range t.Links {
-			g.internBase(baseKey(l))
+			key := linkKey{int32(g.internBase(l)), int32(l.Target)}
+			id, ok := g.linkID[key]
+			if !ok {
+				id = int32(len(g.links))
+				g.linkID[key] = id
+				g.links = append(g.links, key)
+			}
+			ids = append(ids, id)
 		}
 	}
-	g.set = bitset.NewBlock(n, len(g.bases)*g.stride)
+	g.L = len(g.links)
+	g.set = bitset.NewBlock(n, g.L)
+	g.holders = bitset.NewBlock(g.L, n)
 	g.size = make([]int, n)
 	for i, t := range p.Types {
-		for _, l := range t.Links {
-			g.set[i].Set(g.bitOf(l))
+		for _, id := range ids[:len(t.Links)] {
+			g.set[i].Set(int(id))
+			g.holders[id].Set(i)
 		}
+		ids = ids[len(t.Links):]
 		g.size[i] = g.set[i].Count()
 		g.weight[i] = weightOf(t)
 		g.members[i] = 1
 		g.active[i] = true
+	}
+	g.into = make([]int32, n)
+	for i := range g.into {
+		g.into[i] = -1
+	}
+	g.next = make([]int32, g.L)
+	for id, key := range g.links {
+		if key.target != typing.AtomicTarget {
+			g.next[id] = g.into[key.target]
+			g.into[key.target] = int32(id)
+		}
 	}
 	// The initial distance matrix is the hot spot for large programs: the
 	// strict upper triangle is stored flat (half the memory of a square
@@ -268,12 +315,6 @@ func NewGreedy(p *typing.Program, snap *compile.Snapshot, cfg Config, w *Warm) *
 	return g
 }
 
-// baseKey normalizes a link to its universe base: everything but the target.
-func baseKey(l typing.TypedLink) typing.TypedLink {
-	l.Target = 0
-	return l
-}
-
 // plainSlot returns the arithmetic interning cell of a base key, or nil when
 // the key cannot be keyed through the snapshot (no snapshot, constrained
 // base, or a label absent from the data).
@@ -288,39 +329,27 @@ func (g *Greedy) plainSlot(key typing.TypedLink) *int32 {
 	return &g.plainBase[int(key.Dir)*g.snap.NumLabels()+lid]
 }
 
-// internBase assigns the key a base ID if it does not have one yet.
-func (g *Greedy) internBase(key typing.TypedLink) {
-	if cell := g.plainSlot(key); cell != nil {
+// internBase returns the ID of l's base (everything but the target),
+// assigning one if the base is new.
+func (g *Greedy) internBase(l typing.TypedLink) int {
+	l.Target = 0
+	if cell := g.plainSlot(l); cell != nil {
 		if *cell < 0 {
 			*cell = int32(len(g.bases))
-			g.bases = append(g.bases, key)
+			g.bases = append(g.bases, l)
 		}
-		return
+		return int(*cell)
 	}
 	if g.baseID == nil {
 		g.baseID = make(map[typing.TypedLink]int)
 	}
-	if _, ok := g.baseID[key]; !ok {
-		g.baseID[key] = len(g.bases)
-		g.bases = append(g.bases, key)
+	id, ok := g.baseID[l]
+	if !ok {
+		id = len(g.bases)
+		g.baseID[l] = id
+		g.bases = append(g.bases, l)
 	}
-}
-
-// baseOf resolves the base ID of an already-interned key.
-func (g *Greedy) baseOf(key typing.TypedLink) int {
-	if cell := g.plainSlot(key); cell != nil {
-		return int(*cell)
-	}
-	return g.baseID[key]
-}
-
-// bitOf returns the universe bit index of a concrete typed link.
-func (g *Greedy) bitOf(l typing.TypedLink) int {
-	col := 0
-	if l.Target != typing.AtomicTarget {
-		col = l.Target + 1
-	}
-	return g.baseOf(baseKey(l))*g.stride + col
+	return id
 }
 
 // rowOffset returns the flat index of cell (i, i+1) in the strict upper
@@ -507,13 +536,12 @@ func (g *Greedy) merge(i, j int) {
 	g.movedWeight = g.weight[j]
 	g.weight[i] += g.weight[j]
 	g.members[i] += g.members[j]
-	g.active[j] = false
-	g.nAct--
+	g.retire(j)
 	touched, flips := g.project(j, i)
 	g.recompute(touched, flips)
 	g.repairRows(touched, i, j)
 	for _, c := range touched {
-		g.touchedMark[c] = false
+		g.touchedAt[c] = 0
 	}
 }
 
@@ -534,7 +562,7 @@ func (g *Greedy) repairRows(touched []int, i, j int) {
 			continue
 		}
 		to := g.bestTo[k]
-		if k == i || g.touchedMark[k] || to == j {
+		if k == i || g.touchedAt[k] > 0 || to == j {
 			g.rowValid[k] = false
 			continue
 		}
@@ -560,12 +588,11 @@ func (g *Greedy) moveToEmpty(i int) {
 	g.ensureDistOwned()
 	g.movedWeight = g.weight[i]
 	g.inEmpty += g.members[i]
-	g.active[i] = false
-	g.nAct--
+	g.retire(i)
 	touched, flips := g.project(i, EmptySlot)
 	g.recompute(touched, flips)
 	for _, c := range touched {
-		g.touchedMark[c] = false
+		g.touchedAt[c] = 0
 	}
 	// Empty moves are rare and change the empty type's weight, which feeds
 	// every row's empty candidate: invalidate everything.
@@ -574,47 +601,76 @@ func (g *Greedy) moveToEmpty(i int) {
 	}
 }
 
-// project rewrites links targeting slot old: retargeted to repl (merge) or
-// removed (repl == EmptySlot). On the hypercube this is a column rewrite:
-// for every base, a bit in old's column is cleared and, for a merge, the
-// bit in repl's column is set (collapsing duplicates for free). It returns
-// the sorted slots whose definitions changed, with touchedMark set for each,
-// and for each of them the universe bits it flipped.
+// retire deactivates slot s and removes it from its links' holder sets.
+func (g *Greedy) retire(s int) {
+	g.active[s] = false
+	g.nAct--
+	g.set[s].ForEach(func(p int) { g.holders[p].Clear(s) })
+}
+
+// project applies the §5.1 projection for the just-retired slot old: every
+// link (b, old) becomes (b, repl), or is dropped when repl is EmptySlot.
+// Only the links into old are visited, each one whole, in one of two ways.
+// A link becomes (b, repl) by renaming when no active slot holds (b, repl):
+// only its key and index entries change; its holders keep their bits, so
+// no distance or size moves and their row caches stay exact. Otherwise it
+// collapses: each holder clears it and sets (b, repl) if it lacks it. A
+// dropped link is cleared from its holders. Either way no link is created,
+// so the universe never grows. It returns the slots whose definitions
+// changed, with touchedAt set for each, and for each of them the link bits
+// it flipped.
 func (g *Greedy) project(old, repl int) (touched []int, flips [][]int) {
-	colOld := old + 1
-	for c := 0; c < g.n; c++ {
-		if !g.active[c] {
-			continue
-		}
-		s := g.set[c]
-		var flipped []int
-		for b := range g.bases {
-			id := b*g.stride + colOld
-			if !s.Test(id) {
-				continue
-			}
-			s.Clear(id)
-			flipped = append(flipped, id)
-			if repl == EmptySlot {
-				continue
-			}
-			if to := b*g.stride + repl + 1; !s.Test(to) {
-				s.Set(to)
-				flipped = append(flipped, to)
-			}
-		}
-		if flipped != nil {
-			g.size[c] = s.Count()
-			g.touchedMark[c] = true
+	flip := func(c, p int) {
+		if g.touchedAt[c] == 0 {
 			touched = append(touched, c)
-			flips = append(flips, flipped)
+			flips = append(flips, nil)
+			g.touchedAt[c] = len(touched)
 		}
+		t := g.touchedAt[c] - 1
+		flips[t] = append(flips[t], p)
 	}
+	var next int32
+	for p := g.into[old]; p >= 0; p = next {
+		key := g.links[p]
+		next = g.next[p]
+		delete(g.linkID, key)
+		h := g.holders[p]
+		if h.Count() == 0 {
+			continue // nobody holds p any more
+		}
+		q := int32(-1) // the held link (b, repl) a collapse folds p into
+		if repl != EmptySlot {
+			key.target = int32(repl)
+			if id, ok := g.linkID[key]; ok && g.holders[id].Count() > 0 {
+				q = id
+			} else {
+				g.links[p] = key
+				g.linkID[key] = p
+				g.next[p] = g.into[repl]
+				g.into[repl] = p
+				continue
+			}
+		}
+		h.ForEach(func(c int) {
+			s := g.set[c]
+			s.Clear(int(p))
+			g.size[c]--
+			flip(c, int(p))
+			if q >= 0 && !s.Test(int(q)) {
+				s.Set(int(q))
+				g.size[c]++
+				g.holders[q].Set(c)
+				flip(c, int(q))
+			}
+		})
+		h.Reset()
+	}
+	g.into[old] = -1
 	return touched, flips
 }
 
 // recompute refreshes the distance cells incident to the touched slots
-// (touchedMark must be set for them; flips[t] lists the bits touched[t]
+// (touchedAt must be set for them; flips[t] lists the bits touched[t]
 // flipped). A cell between two touched slots is recounted from both
 // definitions, once, by its larger member. Any other cell (c, x) changed
 // only through c's flipped bits, each of which moves the distance by one:
@@ -629,7 +685,7 @@ func (g *Greedy) recompute(touched []int, flips [][]int) {
 				continue
 			}
 			sx := g.set[x]
-			if g.touchedMark[x] {
+			if g.touchedAt[x] > 0 {
 				if x < c {
 					g.setDist(c, x, uint32(sc.XorCount(sx)))
 				}

@@ -3,7 +3,12 @@ package cluster
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"schemex/internal/compile"
+	"schemex/internal/perfect"
+	"schemex/internal/synth"
 )
 
 // TestNewGreedyAllocations pins the flat-triangle representation: seeding the
@@ -29,6 +34,39 @@ func TestNewGreedyAllocations(t *testing.T) {
 	if largeAllocs > smallAllocs+4 {
 		t.Fatalf("allocations grow with program size: n=20 -> %.0f, n=120 -> %.0f",
 			smallAllocs, largeAllocs)
+	}
+}
+
+// TestNewGreedyCartographicAllocation pins the hypercube at the links that
+// occur. The paper's §1 cartographic scenario (synth.Cartographic, defaults,
+// seed 1) is wide and sparse: 1,653 perfect types over 258 typed links, all
+// atomic. One bit per (base, target column) would make each definition
+// 426,732 bits wide, 88 MB in all; one bit per link keeps serial seeding
+// within twice the distance triangle's bytes.
+func TestNewGreedyCartographicAllocation(t *testing.T) {
+	db, _, err := synth.Cartographic(synth.CartographicOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := compile.Compile(db, 1, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stage1, err := perfect.Minimal(snap, perfect.Options{Parallelism: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := stage1.Program
+	n := p.Len()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := NewGreedy(p, snap, Config{Parallelism: 1}, nil)
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	triangle := uint64(4 * n * (n - 1) / 2)
+	t.Logf("n=%d L=%d: NewGreedy allocated %.1f MB, triangle %.1f MB", n, g.L, float64(allocated)/1e6, float64(triangle)/1e6)
+	if allocated > 2*triangle {
+		t.Fatalf("NewGreedy allocated %d bytes on %d types, want <= %d (twice the distance triangle)", allocated, n, 2*triangle)
 	}
 }
 

@@ -24,12 +24,9 @@ func decodeProgram(t *testing.T, g *Greedy, slotOf []int) (*typing.Program, []in
 		compact[slot] = len(p.Types)
 		ty := &typing.Type{Name: g.prog.Types[slot].Name, Weight: g.weight[slot]}
 		g.set[slot].ForEach(func(id int) {
-			l := g.bases[id/g.stride]
-			if col := id % g.stride; col == 0 {
-				l.Target = typing.AtomicTarget
-			} else {
-				l.Target = col - 1
-			}
+			key := g.links[id]
+			l := g.bases[key.base]
+			l.Target = int(key.target)
 			ty.Links = append(ty.Links, l)
 		})
 		p.Add(ty)

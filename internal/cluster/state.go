@@ -1,7 +1,7 @@
 // Warm re-entry for the greedy engine. Seeding the distance matrix is the
-// Stage 2 hot spot: every cell is a popcount over universe-sized bitsets, and
-// the whole strict upper triangle is recomputed on every extraction even when
-// a delta perturbed only a handful of types. A State captures the seeded
+// engine's only O(n²) phase: every cell is a popcount over two L-bit
+// definitions, and the whole strict upper triangle is recomputed on every
+// extraction even when a delta perturbed only a handful of types. A State captures the seeded
 // pre-merge triangle of one engine run; a later run over a program that
 // provably mirrors the captured one (up to an injective renaming of type
 // slots) copies the surviving cells instead of recounting them and popcounts

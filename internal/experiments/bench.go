@@ -122,6 +122,18 @@ func RunBench() (*BenchReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	carto, _, err := synth.Cartographic(synth.CartographicOptions{Seed: 1})
+	if err != nil {
+		return nil, err
+	}
+	snapCarto, err := compile.Compile(carto, 0, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	stage1Carto, err := perfect.Minimal(snapCarto, perfect.Options{}, nil)
+	if err != nil {
+		return nil, err
+	}
 
 	measure := func(name string, run func(workers int, b *testing.B)) {
 		serial := testing.Benchmark(func(b *testing.B) { run(1, b) })
@@ -179,6 +191,19 @@ func RunBench() (*BenchReport, error) {
 		for i := 0; i < b.N; i++ {
 			g := cluster.NewGreedy(stage1DB7.Program.Clone(), nil, cluster.Config{Parallelism: workers}, nil)
 			g.RunTo(p7.Intended())
+		}
+	})
+	// The paper's §1 cartographic scenario: wide, sparse, bipartite records
+	// (1,653 perfect types over 258 typed links), run to the last move as
+	// an extraction does.
+	measure("stage2/greedy/cartographic", func(workers int, b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			g := cluster.NewGreedy(stage1Carto.Program.Clone(), snapCarto, cluster.Config{Parallelism: workers}, nil)
+			for {
+				if _, ok := g.Step(); !ok {
+					break
+				}
+			}
 		}
 	})
 	measure("stage3/recast-only/dbg-x2", func(workers int, b *testing.B) {
